@@ -316,53 +316,53 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         if line.chart != CHART_SHALLOW:
             raise ConstructionError("case-2 bundling expects shallow-chart parents")
         A, B = line.a_q * q, line.b_q * q
+        # Surviving (da, db) offsets in loop order (da-major); a key is claimed
+        # by the first parent that reaches it, even if its child ends up empty.
+        a_vals = [A + int(off_a) for off_a in da if abs(A + int(off_a)) <= n]
+        b_vals = [B + int(off_b) for off_b in db if -n <= B + int(off_b) <= 2 * n]
+        keys = [(a, b) for a in a_vals for b in b_vals if (a, b) not in seen]
+        if not keys:
+            continue
+        seen.update(keys)
         pi, _ = sh.cells.ij()
         cols = np.unique(pi)
         child_cols = (cols[:, None] * q + np.arange(q, dtype=np.int64)[None, :]).ravel()
-        parent_codes = sh.cells.codes
         x = (child_cols + 0.5) * delta
-        for off_a in da:
-            a_new = int(A + off_a)
-            if abs(a_new) > n:
+        # The db=0 tube rows per slope; shifting b by db*delta shifts them by db.
+        aa = np.array(a_vals, dtype=np.int64) * delta
+        W = np.array([delta * math.hypot(1.0, a * delta) for a in a_vals])[:, None]
+        c = aa[:, None] * x[None, :] + B * delta
+        lo0 = np.ceil((c - W) / delta - 0.5).astype(np.int64)
+        hi0 = np.floor((c + W) / delta - 0.5).astype(np.int64)
+        row_of = {a: i for i, a in enumerate(a_vals)}
+        ka = np.array([row_of[a] for a, _ in keys], dtype=np.int64)
+        kb = np.array([b - B for _, b in keys], dtype=np.int64)[:, None]
+        # (child x column) runs of tube rows, clipped to the square
+        lo = np.maximum(lo0[ka] + kb, 0)
+        lens = np.maximum(np.minimum(hi0[ka] + kb, n - 1) - lo + 1, 0)
+        child = np.repeat(np.arange(len(keys), dtype=np.int64), lens.sum(axis=1))
+        lo, lens = lo.ravel(), lens.ravel()
+        starts = np.cumsum(lens) - lens
+        ci = np.repeat(np.tile(child_cols, len(keys)), lens)
+        cj = np.arange(child.size, dtype=np.int64) + np.repeat(lo - starts, lens)
+        pcode = ((cj.astype(np.uint64) >> np.uint64(shift)) << np.uint64(32)) | (
+            ci.astype(np.uint64) >> np.uint64(shift)
+        )
+        parent_codes = sh.cells.codes
+        pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
+        inside = parent_codes[pos] == pcode
+        codes = (cj[inside].astype(np.uint64) << np.uint64(32)) | ci[inside].astype(np.uint64)
+        child = child[inside]
+        codes = codes[np.lexsort((codes, child))]
+        bounds = np.cumsum(np.bincount(child, minlength=len(keys)))[:-1]
+        for (a_new, b_new), child_codes in zip(keys, np.split(codes, bounds)):
+            if child_codes.size == 0:
                 continue
-            # The db=0 tube rows; shifting b by db*delta shifts them by exactly db.
-            aa = a_new * delta
-            W = delta * math.hypot(1.0, aa)
-            c = aa * x + B * delta
-            lo0 = np.ceil((c - W) / delta - 0.5).astype(np.int64)
-            hi0 = np.floor((c + W) / delta - 0.5).astype(np.int64)
-            for off_b in db:
-                b_new = int(B + off_b)
-                key = (a_new, b_new)
-                if key in seen or not (-n <= b_new <= 2 * n):
-                    continue
-                seen.add(key)
-                lo = np.maximum(lo0 + off_b, 0)
-                hi = np.minimum(hi0 + off_b, n - 1)
-                lens = hi - lo + 1
-                keep = lens > 0
-                if not np.any(keep):
-                    continue
-                kcols, klo, klens = child_cols[keep], lo[keep], lens[keep]
-                total = int(klens.sum())
-                ci = np.repeat(kcols, klens)
-                starts = np.concatenate([[0], np.cumsum(klens)[:-1]])
-                cj = np.arange(total, dtype=np.int64) - np.repeat(starts, klens) + np.repeat(
-                    klo, klens
-                )
-                pcode = ((cj.astype(np.uint64) >> np.uint64(shift)) << np.uint64(32)) | (
-                    ci.astype(np.uint64) >> np.uint64(shift)
-                )
-                pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
-                inside = parent_codes[pos] == pcode
-                if not np.any(inside):
-                    continue
-                try:
-                    child = Line(new_scale, CHART_SHALLOW, a_new, b_new)
-                except GeometryError:
-                    continue
-                cells = CellSet.from_ij(new_scale, ci[inside], cj[inside])
-                candidates.append((child, cells))
+            try:
+                child_line = Line(new_scale, CHART_SHALLOW, a_new, b_new)
+            except GeometryError:
+                continue
+            candidates.append((child_line, CellSet(new_scale, child_codes)))
     if not candidates:
         raise ConstructionError("bundling produced no children")
     floor = max(1, max(c.n_cells for _, c in candidates) // 8)

@@ -96,6 +96,13 @@ def _grid_counts(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.
     return uniq, counts, key
 
 
+def _unpack(key: int) -> tuple[int, int]:
+    """Inverse of the iq * 2^32 + jq packing of _grid_counts; jq is signed, so
+    iq is the nearest multiple, not the floor."""
+    iq = (key + (1 << 31)) >> 32
+    return iq, key - (iq << 32)
+
+
 def _tripled_sums(uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """For each occupied cell Q, the count of points in the 3x3 block 3Q."""
     big = np.int64(1 << 32)
@@ -122,7 +129,6 @@ def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrati
     k = round(math.log2(1.0 / d))
     best = -1.0
     wit_r, wit_x = d, (0.0, 0.0)
-    big = np.int64(1 << 32)
     for j in range(k, -1, -1):
         r = 2.0 ** (-j)
         uniq, counts, _ = _grid_counts(pts, r)
@@ -132,8 +138,7 @@ def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrati
         ratio = sums[idx] / denom
         if ratio > best:
             best = float(ratio)
-            iq = int(uniq[idx] // big)
-            jq = int(uniq[idx] - iq * big)
+            iq, jq = _unpack(int(uniq[idx]))
             wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
     return NonConcentrationReport(s, best, wit_r, wit_x)
 
@@ -154,7 +159,6 @@ def frostman_constant(E: CellSet, s: float, Delta: float | None = None) -> NonCo
     total = pts.shape[0]
     best = -1.0
     wit_r, wit_x = 1.0, (0.5, 0.5)
-    big = np.int64(1 << 32)
     for j in range(j_max, -1, -1):
         r = 2.0 ** (-j)
         uniq, counts, _ = _grid_counts(pts, r)
@@ -164,8 +168,7 @@ def frostman_constant(E: CellSet, s: float, Delta: float | None = None) -> NonCo
         ratio = sums[idx] / denom
         if ratio > best:
             best = float(ratio)
-            iq = int(uniq[idx] // big)
-            jq = int(uniq[idx] - iq * big)
+            iq, jq = _unpack(int(uniq[idx]))
             wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
     return NonConcentrationReport(s, best, wit_r, wit_x)
 
@@ -231,49 +234,55 @@ def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
     return max_count / ((d**eps2) * pos.size)
 
 
-def _interval_max_count(
-    left: np.ndarray, right: np.ndarray, d: float, arc_max: float
-) -> tuple[int, float]:
-    """Max over grid points x = m*d in [0, arc_max] of #{i: left_i <= x <= right_i}.
-
-    The max over the grid equals the max over the candidate points
-    ceil(left_i/d)*d (counts only change at interval endpoints).
-    """
-    cand = np.ceil(np.maximum(left, 0.0) / d) * d
-    cand = cand[cand <= np.minimum(right, arc_max) + 1e-12]
-    if cand.size == 0:
-        return 0, 0.0
-    cand = np.unique(np.minimum(cand, arc_max))
-    ls = np.sort(left)
-    rs = np.sort(right)
-    counts = np.searchsorted(ls, cand, side="right") - np.searchsorted(rs, cand, side="left")
-    idx = int(np.argmax(counts))
-    return int(counts[idx]), float(cand[idx])
-
-
 def gamma(Y: Shading, t: float) -> GammaReport:
     """sup over dyadic r in [delta, 1] and delta-spaced x on the line of
-    (delta/r)^t * #(cells of Y with center in B(x, r))."""
+    (delta/r)^t * #(cells of Y with center in B(x, r)).
+
+    All k+1 scales are handled in one pass.  Row i of the (scale x cell)
+    table is r = 2^(i-k); a cell within reach of x covers the arclength
+    interval [arc - w, arc + w].  The max over grid points x = m*delta equals
+    the max over the candidates ceil(left/delta)*delta (counts only change at
+    interval endpoints).  Sorting left, candidate and right events by (row,
+    value) with ties in that order makes the running sum of +1/-1 at each
+    candidate its exact cover count.
+    """
     if not (0.0 <= t <= 1.0):
         raise MeasureError(f"gamma exponent {t} outside [0, 1]")
     d = Y.cells.scale.delta
     k = Y.cells.scale.k
     arc, off = Y.arc_and_offset()
     lam = max(Y.line.length_in_square(), d)
+    r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))
+    reach2 = r2[:, None] - (off * off)[None, :]
+    mask = reach2 > 0.0
+    rows, cols = mask.nonzero()
+    w = np.sqrt(reach2[mask])
+    a = arc[cols]
+    left, right = a - w, a + w
+    cand = np.ceil(np.maximum(left, 0.0) / d) * d
+    ok = cand <= np.minimum(right, lam) + 1e-12
+    cand = np.minimum(cand[ok], lam)
+    sizes = [left.size, cand.size, right.size]
+    ev_x = np.concatenate([left, cand, right])
+    ev_row = np.concatenate([rows, rows[ok], rows])
+    ev_kind = np.repeat(np.array([0, 1, 2], dtype=np.int8), sizes)
+    order = np.lexsort((ev_kind, ev_x, ev_row))
+    cover = np.cumsum(np.repeat(np.array([1, 0, -1], dtype=np.int64), sizes)[order])
+    at_cand = ev_kind[order] == 1
+    cnt, crow, cx = cover[at_cand], ev_row[order][at_cand], ev_x[order][at_cand]
+    # First (smallest-x) maximum per row: candidates are in (row, x) order, so
+    # a stable sort by (row, -count) puts it at the head of each row.
+    head = np.argsort(crow * (arc.size + 1) - cnt, kind="stable")
+    hrow = crow[head]
+    first = np.ones(head.size, dtype=bool)
+    np.not_equal(hrow[1:], hrow[:-1], out=first[1:])
+    head = head[first]
+    # Fine to coarse with a strict >, so ties keep the finest scale.
     best = -1.0
     wit_r, wit_arc = d, 0.0
-    for j in range(k, -1, -1):
-        r = 2.0 ** (-j)
-        reach2 = r * r - off * off
-        mask = reach2 > 0.0
-        if not np.any(mask):
-            continue
-        w = np.sqrt(reach2[mask])
-        a = arc[mask]
-        cnt, x_arc = _interval_max_count(a - w, a + w, d, lam)
-        if cnt == 0:
-            continue
-        value = (d / r) ** t * cnt
+    for i, c, x_arc in zip(crow[head].tolist(), cnt[head].tolist(), cx[head].tolist()):
+        r = 2.0 ** (i - k)
+        value = (d / r) ** t * c
         if value > best:
             best = float(value)
             wit_r, wit_arc = r, x_arc

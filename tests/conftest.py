@@ -10,7 +10,9 @@ from functools import lru_cache
 import numpy as np
 
 from tubelab import CellSet, Line, LineFamily, Scale, Shading, tube_cells
-from tubelab.geometry import CHART_SHALLOW, CHART_STEEP
+from tubelab.constructions import ConstructionError, _scale_of, bundle_offsets
+from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError
+from tubelab.measures import GammaReport, MeasureError
 
 
 # -- random generators -------------------------------------------------------
@@ -188,3 +190,132 @@ def minimal_ball_cover(cells: list[tuple[int, int]], delta: float, rho: float) -
     result = solve(full)
     solve.cache_clear()
     return result
+
+
+# -- reference kernels ----------------------------------------------------------
+# Straightforward per-scale / per-offset versions of the vectorized kernels in
+# measures.gamma and constructions.bundle_case2; the differential tests demand
+# exact equality with them.
+
+
+def _interval_max_count(
+    left: np.ndarray, right: np.ndarray, d: float, arc_max: float
+) -> tuple[int, float]:
+    """Max over grid points x = m*d in [0, arc_max] of #{i: left_i <= x <= right_i}.
+
+    The max over the grid equals the max over the candidate points
+    ceil(left_i/d)*d (counts only change at interval endpoints).
+    """
+    cand = np.ceil(np.maximum(left, 0.0) / d) * d
+    cand = cand[cand <= np.minimum(right, arc_max) + 1e-12]
+    if cand.size == 0:
+        return 0, 0.0
+    cand = np.unique(np.minimum(cand, arc_max))
+    ls = np.sort(left)
+    rs = np.sort(right)
+    counts = np.searchsorted(ls, cand, side="right") - np.searchsorted(rs, cand, side="left")
+    idx = int(np.argmax(counts))
+    return int(counts[idx]), float(cand[idx])
+
+
+def reference_gamma(Y: Shading, t: float) -> GammaReport:
+    """sup over dyadic r in [delta, 1] and delta-spaced x on the line of
+    (delta/r)^t * #(cells of Y with center in B(x, r)), one scale at a time."""
+    if not (0.0 <= t <= 1.0):
+        raise MeasureError(f"gamma exponent {t} outside [0, 1]")
+    d = Y.cells.scale.delta
+    k = Y.cells.scale.k
+    arc, off = Y.arc_and_offset()
+    lam = max(Y.line.length_in_square(), d)
+    best = -1.0
+    wit_r, wit_arc = d, 0.0
+    for j in range(k, -1, -1):
+        r = 2.0 ** (-j)
+        reach2 = r * r - off * off
+        mask = reach2 > 0.0
+        if not np.any(mask):
+            continue
+        w = np.sqrt(reach2[mask])
+        a = arc[mask]
+        cnt, x_arc = _interval_max_count(a - w, a + w, d, lam)
+        if cnt == 0:
+            continue
+        value = (d / r) ** t * cnt
+        if value > best:
+            best = float(value)
+            wit_r, wit_arc = r, x_arc
+    point = Y.line.point_at_arc(wit_arc)
+    return GammaReport(t, best, wit_r, (float(point[0]), float(point[1])), wit_arc)
+
+
+def reference_bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
+    """Case-2 bundling with one child built per (parent, da, db) in a loop."""
+    if not (1.0 <= t <= 2.0):
+        raise ConstructionError(f"bundling needs t in [1, 2], got {t}")
+    r = F.scale.delta
+    if not delta < r:
+        raise ConstructionError(f"bundle needs delta < r, got {delta} >= {r}")
+    new_scale = _scale_of(delta, "target scale")
+    n = new_scale.n
+    q = new_scale.n // F.scale.n
+    shift = round(math.log2(q))
+    da, db = bundle_offsets(q, t)
+    candidates: list[tuple[Line, CellSet]] = []
+    seen = set()
+    for line, sh in F.entries:
+        if line.chart != CHART_SHALLOW:
+            raise ConstructionError("case-2 bundling expects shallow-chart parents")
+        A, B = line.a_q * q, line.b_q * q
+        pi, _ = sh.cells.ij()
+        cols = np.unique(pi)
+        child_cols = (cols[:, None] * q + np.arange(q, dtype=np.int64)[None, :]).ravel()
+        parent_codes = sh.cells.codes
+        x = (child_cols + 0.5) * delta
+        for off_a in da:
+            a_new = int(A + off_a)
+            if abs(a_new) > n:
+                continue
+            aa = a_new * delta
+            W = delta * math.hypot(1.0, aa)
+            c = aa * x + B * delta
+            lo0 = np.ceil((c - W) / delta - 0.5).astype(np.int64)
+            hi0 = np.floor((c + W) / delta - 0.5).astype(np.int64)
+            for off_b in db:
+                b_new = int(B + off_b)
+                key = (a_new, b_new)
+                if key in seen or not (-n <= b_new <= 2 * n):
+                    continue
+                seen.add(key)
+                lo = np.maximum(lo0 + off_b, 0)
+                hi = np.minimum(hi0 + off_b, n - 1)
+                lens = hi - lo + 1
+                keep = lens > 0
+                if not np.any(keep):
+                    continue
+                kcols, klo, klens = child_cols[keep], lo[keep], lens[keep]
+                total = int(klens.sum())
+                ci = np.repeat(kcols, klens)
+                starts = np.concatenate([[0], np.cumsum(klens)[:-1]])
+                cj = np.arange(total, dtype=np.int64) - np.repeat(starts, klens) + np.repeat(
+                    klo, klens
+                )
+                pcode = ((cj.astype(np.uint64) >> np.uint64(shift)) << np.uint64(32)) | (
+                    ci.astype(np.uint64) >> np.uint64(shift)
+                )
+                pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
+                inside = parent_codes[pos] == pcode
+                if not np.any(inside):
+                    continue
+                try:
+                    child = Line(new_scale, CHART_SHALLOW, a_new, b_new)
+                except GeometryError:
+                    continue
+                cells = CellSet.from_ij(new_scale, ci[inside], cj[inside])
+                candidates.append((child, cells))
+    if not candidates:
+        raise ConstructionError("bundling produced no children")
+    floor = max(1, max(c.n_cells for _, c in candidates) // 8)
+    entries = [
+        (child, Shading(child, cells)) for child, cells in candidates if cells.n_cells >= floor
+    ]
+    return LineFamily(new_scale, tuple(entries))

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import (
+    CellSet,
     ConstructionError,
+    LineFamily,
+    Shading,
     build_base,
     bundle_case2,
     bush_config,
@@ -16,6 +21,7 @@ from tubelab import (
     katz_tao_constant,
     random_config,
     rescale_case1,
+    tube_cells,
     union_shadings,
 )
 from tubelab.constructions import (
@@ -25,6 +31,8 @@ from tubelab.constructions import (
     measure_remark_bullets,
 )
 from tubelab.geometry import CHART_STEEP
+
+from conftest import random_family, reference_bundle_case2
 
 
 # -- base configurations -------------------------------------------------------
@@ -225,6 +233,65 @@ def test_case2_children_inside_parent_shading():
         i, j = csh.cells.ij()
         for ci, cj in zip(i[:5], j[:5]):
             assert region.contains_cell(int(ci) >> shift, int(cj) >> shift)
+
+
+def _assert_same_family(got, want):
+    assert len(got) == len(want)
+    for (gl, gsh), (wl, wsh) in zip(got.entries, want.entries):
+        assert gl == wl
+        assert gsh.cells.codes.dtype == wsh.cells.codes.dtype
+        assert np.array_equal(gsh.cells.codes, wsh.cells.codes)
+
+
+def _same_outcome(parent, delta, t):
+    try:
+        want = reference_bundle_case2(parent, delta, t)
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            bundle_case2(parent, delta, t)
+        return
+    _assert_same_family(bundle_case2(parent, delta, t), want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rk=st.integers(2, 4),
+    m=st.integers(1, 4),
+    t=st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 2.0)),
+    s=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_case2_bundle_matches_reference(rk, m, t, s, seed):
+    r = 2.0**-rk
+    try:
+        base = build_base(r, t, s, seed)
+    except ConstructionError:
+        return
+    _same_outcome(base, r / 2**m, t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rk=st.integers(2, 5),
+    m=st.integers(1, 3),
+    n_lines=st.integers(1, 12),
+    density=st.floats(0.05, 1.0),
+    t=st.floats(1.0, 2.0),
+    seed=st.integers(0, 10_000),
+)
+def test_case2_bundle_matches_reference_on_wide_shadings(rk, m, n_lines, density, t, seed):
+    # parents whose cells sit up to 2 r off their lines, and neighbouring
+    # parents that claim each other's (da, db) keys
+    rng = np.random.default_rng(seed)
+    narrow = random_family(rng, rk, min(n_lines, 2 ** rk), density)
+    entries = []
+    for line, sh in narrow.entries:
+        tube = tube_cells(line, 2.0 * line.scale.delta)
+        count = max(1, round(density * tube.n_cells))
+        pick = np.sort(rng.choice(tube.n_cells, size=count, replace=False))
+        entries.append((line, Shading(line, CellSet(line.scale, tube.codes[pick]))))
+    for parent in (narrow, LineFamily(narrow.scale, tuple(entries))):
+        _same_outcome(parent, 2.0 ** -(rk + m), t)
 
 
 def test_case2_validates_parameters():

@@ -42,6 +42,15 @@ def test_cellset_basics():
         CellSet.from_cells(sc, [(16, 0)])
 
 
+def test_cellset_rejects_unsorted_or_duplicate_codes():
+    # uint64 differences wrap around, so the order check must compare codes
+    with pytest.raises(GridError):
+        CellSet(Scale(3), [5, 2])
+    with pytest.raises(GridError):
+        CellSet(Scale(3), [2, 2])
+    assert CellSet(Scale(3), [2, 5]).n_cells == 2
+
+
 # -- covering_count -----------------------------------------------------------
 
 

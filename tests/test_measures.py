@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import (
     CellSet,
@@ -20,7 +22,13 @@ from tubelab import (
 from tubelab.grid import coarsen
 from tubelab.measures import MeasureError, frostman_constant_1d, gamma_value_at
 
-from conftest import naive_katz_tao, random_cellset, random_line, random_shading
+from conftest import (
+    naive_katz_tao,
+    random_cellset,
+    random_line,
+    random_shading,
+    reference_gamma,
+)
 
 
 # -- Katz-Tao constants ---------------------------------------------------------
@@ -75,6 +83,25 @@ def test_kt_witness_reproduces():
         if qi - 1 <= math.floor(x / r) <= qi + 1 and qj - 1 <= math.floor(y / r) <= qj + 1
     )
     assert math.isclose(count / (r / E.scale.delta) ** 0.8, rep.constant, rel_tol=1e-12)
+
+
+def test_kt_witness_with_negative_dual_ordinates():
+    # dual points of lines with negative intercepts: the packed cell key has a
+    # negative low word, which floor division would misread
+    d = 2.0**-7
+    pts = np.array([[0.25, -0.25], [0.2578125, -0.25], [-0.5, -0.75], [0.5, 0.5]])
+    rep = katz_tao_constant(pts, 1.0, delta=d)
+    assert rep.constant == 2.0
+    assert rep.witness_r == d
+    assert rep.witness_x == (0.25390625, -0.24609375)
+    r, (cx, cy) = rep.witness_r, rep.witness_x
+    qi, qj = math.floor(cx / r), math.floor(cy / r)
+    count = sum(
+        1
+        for x, y in pts
+        if abs(math.floor(x / r) - qi) <= 1 and abs(math.floor(y / r) - qj) <= 1
+    )
+    assert count / (r / d) == rep.constant
 
 
 def test_kt_subadditive_under_union():
@@ -263,6 +290,31 @@ def test_gamma_witness_reproduces():
         assert math.isclose(
             gamma_value_at(sh, 0.7, rep.witness_r, rep.witness_arc), rep.value, rel_tol=1e-9
         )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from(["s", "t"]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([1.0, 1.5, 2.0]),
+    density=st.floats(0.02, 1.0),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_gamma_matches_reference(k, chart, seed, width, density, t):
+    # cells up to 2 delta off the line drop out of the finest scales
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    line = random_line(rng, sc, chart=chart)
+    tube = tube_cells(line, width * sc.delta)
+    count = max(1, round(density * tube.n_cells))
+    pick = np.sort(rng.choice(tube.n_cells, size=count, replace=False))
+    sh = Shading(line, CellSet(sc, tube.codes[pick]))
+    got, want = gamma(sh, t), reference_gamma(sh, t)
+    assert got.value == want.value
+    assert got.witness_r == want.witness_r
+    assert got.witness_x == want.witness_x
+    assert got.witness_arc == want.witness_arc
 
 
 def test_gamma_rejects_bad_exponent():
