@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale
+from .grid import CellSet, Scale, _ancestor_codes, _encode, _run_offsets
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
@@ -23,10 +23,11 @@ from .geometry import (
     Line,
     LineFamily,
     Shading,
+    _row_spans,
     tube_cells,
     union_shadings,
 )
-from .measures import katz_tao_constant, frostman_constant, density
+from .measures import TripledCaps, katz_tao_constant, frostman_constant, density
 
 __all__ = [
     "ConstructionError",
@@ -137,37 +138,11 @@ def _cantor_positions_1d(levels: int, target: float, rng: np.random.Generator) -
     return np.sort(pos)
 
 
-def _greedy_katz_tao(pts: np.ndarray, delta: float, s: float, cap: float) -> np.ndarray:
-    """Deterministic thinning: keep points while every tripled dyadic cell 3Q
-    at every dyadic scale r holds at most cap*(r/delta)^s of them."""
+def _katz_tao_caps(delta: float, s: float, cap: float) -> TripledCaps:
+    """Greedy acceptance keeping every tripled dyadic cell 3Q at every dyadic
+    scale r in [delta, 1] at most cap*(r/delta)^s full."""
     k = round(math.log2(1.0 / delta))
-    levels = [(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)]
-    grids: list[dict[tuple[int, int], int]] = [dict() for _ in levels]
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    order = np.lexsort((pts[:, 0], pts[:, 1]))
-    for p in order:
-        x, y = pts[p]
-        cells = []
-        ok = True
-        for (r, capr), g in zip(levels, grids):
-            ci, cj = int(math.floor(x / r)), int(math.floor(y / r))
-            cells.append((ci, cj))
-            local = np.zeros((5, 5), dtype=np.int64)
-            for u in range(-2, 3):
-                for w in range(-2, 3):
-                    c = g.get((ci + u, cj + w))
-                    if c:
-                        local[u + 2, w + 2] = c
-            local[2, 2] += 1
-            worst = max(int(local[a : a + 3, b : b + 3].sum()) for a in range(3) for b in range(3))
-            if worst > capr:
-                ok = False
-                break
-        if ok:
-            keep[p] = True
-            for cell, g in zip(cells, grids):
-                g[cell] = g.get(cell, 0) + 1
-    return keep
+    return TripledCaps([(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)])
 
 
 def build_base(
@@ -187,7 +162,7 @@ def build_base(
         raise ConstructionError(f"shading exponent {s} outside (0, 1]")
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
-    keep = _greedy_katz_tao(duals.astype(np.float64) * r, r, t, cap=8.0)
+    keep = _katz_tao_caps(r, t, 8.0).keep_mask(duals.astype(np.float64) * r)
     duals = duals[keep]
     entries = []
     for a_q, b_q in duals:
@@ -327,32 +302,24 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         pi, _ = sh.cells.ij()
         cols = np.unique(pi)
         child_cols = (cols[:, None] * q + np.arange(q, dtype=np.int64)[None, :]).ravel()
-        x = (child_cols + 0.5) * delta
-        # The db=0 tube rows per slope; shifting b by db*delta shifts them by db.
-        aa = np.array(a_vals, dtype=np.int64) * delta
-        W = np.array([delta * math.hypot(1.0, a * delta) for a in a_vals])[:, None]
-        c = aa[:, None] * x[None, :] + B * delta
-        lo0 = np.ceil((c - W) / delta - 0.5).astype(np.int64)
-        hi0 = np.floor((c + W) / delta - 0.5).astype(np.int64)
+        # (child x column) runs of tube rows: the db=0 tube of each key's
+        # slope, moved by db rows (shifting b by db*delta shifts them by db).
         row_of = {a: i for i, a in enumerate(a_vals)}
         ka = np.array([row_of[a] for a, _ in keys], dtype=np.int64)
-        kb = np.array([b - B for _, b in keys], dtype=np.int64)[:, None]
-        # (child x column) runs of tube rows, clipped to the square
-        lo = np.maximum(lo0[ka] + kb, 0)
-        lens = np.maximum(np.minimum(hi0[ka] + kb, n - 1) - lo + 1, 0)
+        kb = np.array([b - B for _, b in keys], dtype=np.int64)
+        aa = np.array(a_vals, dtype=np.int64) * delta
+        W = np.array([delta * math.hypot(1.0, a * delta) for a in a_vals])
+        x = (child_cols + 0.5) * delta
+        lo, lens = _row_spans(aa[ka, None], B * delta, W[ka, None], x, delta, n, kb[:, None])
         child = np.repeat(np.arange(len(keys), dtype=np.int64), lens.sum(axis=1))
         lo, lens = lo.ravel(), lens.ravel()
-        starts = np.cumsum(lens) - lens
         ci = np.repeat(np.tile(child_cols, len(keys)), lens)
-        cj = np.arange(child.size, dtype=np.int64) + np.repeat(lo - starts, lens)
-        pcode = ((cj.astype(np.uint64) >> np.uint64(shift)) << np.uint64(32)) | (
-            ci.astype(np.uint64) >> np.uint64(shift)
-        )
+        codes = _encode(ci, np.repeat(lo, lens) + _run_offsets(lens))
+        pcode = _ancestor_codes(codes, shift)
         parent_codes = sh.cells.codes
         pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
         inside = parent_codes[pos] == pcode
-        codes = (cj[inside].astype(np.uint64) << np.uint64(32)) | ci[inside].astype(np.uint64)
-        child = child[inside]
+        codes, child = codes[inside], child[inside]
         codes = codes[np.lexsort((codes, child))]
         bounds = np.cumsum(np.bincount(child, minlength=len(keys)))[:-1]
         for (a_new, b_new), child_codes in zip(keys, np.split(codes, bounds)):
@@ -392,8 +359,7 @@ def random_config(
     n_target = max(1, min(round(delta**-t), max_lines))
     rng = np.random.default_rng(np.random.PCG64(seed))
     n = scale.n
-    levels = [(2.0 ** (-j), 16.0 * (2.0 ** (-j) / delta) ** t) for j in range(scale.k, -1, -1)]
-    grids: list[dict[tuple[int, int], int]] = [dict() for _ in levels]
+    caps = _katz_tao_caps(delta, t, 16.0)
     chosen: list[tuple[int, int]] = []
     seen = set()
     attempts = 0
@@ -404,28 +370,8 @@ def random_config(
         if (a_q, b_q) in seen:
             continue
         seen.add((a_q, b_q))
-        x, y = a_q * delta, b_q * delta
-        ok = True
-        cells = []
-        for (r, cap), g in zip(levels, grids):
-            ci, cj = int(math.floor(x / r)), int(math.floor(y / r))
-            cells.append((ci, cj))
-            local = np.zeros((5, 5), dtype=np.int64)
-            for u in range(-2, 3):
-                for w in range(-2, 3):
-                    c = g.get((ci + u, cj + w))
-                    if c:
-                        local[u + 2, w + 2] = c
-            local[2, 2] += 1
-            worst = max(int(local[a : a + 3, b : b + 3].sum()) for a in range(3) for b in range(3))
-            if worst > cap:
-                ok = False
-                break
-        if not ok:
-            continue
-        for cell, g in zip(cells, grids):
-            g[cell] = g.get(cell, 0) + 1
-        chosen.append((a_q, b_q))
+        if caps.try_add(a_q * delta, b_q * delta):
+            chosen.append((a_q, b_q))
     if len(chosen) < max(1, n_target // 4):
         raise ConstructionError(
             f"rejection sampling infeasible: {len(chosen)}/{n_target} lines after {attempts} draws"

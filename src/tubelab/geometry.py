@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, union_codes
+from .grid import CellSet, Scale, _run_offsets, union_codes
 
 __all__ = [
     "GeometryError",
@@ -142,6 +142,17 @@ class Line:
         return Line(scale, self.chart, aq, bq)
 
 
+def _row_spans(a, b, W, x, d: float, n: int, shift=0) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterize v = a*u + b: at each column center x, the rows lo..lo+lens-1
+    (moved by `shift` rows) of the cells whose centers lie within vertical
+    distance W of the line, clipped to the square; lens is 0 where none do.
+    Arguments broadcast, so one call can cover many lines."""
+    c = a * x + b
+    lo = np.maximum(np.ceil((c - W) / d - 0.5).astype(np.int64) + shift, 0)
+    hi = np.minimum(np.floor((c + W) / d - 0.5).astype(np.int64) + shift, n - 1)
+    return lo, np.maximum(hi - lo + 1, 0)
+
+
 def tube_cells(
     line: Line,
     w: float,
@@ -155,24 +166,10 @@ def tube_cells(
         raise GeometryError(f"tube width {w} outside [delta, 1]")
     d = scale.delta
     n = scale.n
-    a, b = line.a, line.b
-    W = w * math.hypot(1.0, a)
     cols = np.arange(n, dtype=np.int64) if columns is None else np.asarray(columns, dtype=np.int64)
-    x = (cols + 0.5) * d
-    c = a * x + b
-    lo = np.ceil((c - W) / d - 0.5).astype(np.int64)
-    hi = np.floor((c + W) / d - 0.5).astype(np.int64)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, n - 1)
-    lens = hi - lo + 1
-    keep = lens > 0
-    cols, lo, lens = cols[keep], lo[keep], lens[keep]
-    if cols.size == 0:
-        return CellSet(scale, np.empty(0, dtype=np.uint64))
-    total = int(lens.sum())
+    lo, lens = _row_spans(line.a, line.b, w * math.hypot(1.0, line.a), (cols + 0.5) * d, d, n)
     u = np.repeat(cols, lens)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    v = np.arange(total, dtype=np.int64) - np.repeat(starts, lens) + np.repeat(lo, lens)
+    v = np.repeat(lo, lens) + _run_offsets(lens)
     if line.chart == CHART_SHALLOW:
         return CellSet.from_ij(scale, u, v)
     return CellSet.from_ij(scale, v, u)
@@ -182,14 +179,9 @@ def tube_cell_count(line: Line, w: float, cell_scale: Scale | None = None) -> in
     """Cell count of tube_cells without materializing the set."""
     scale = cell_scale if cell_scale is not None else line.scale
     d = scale.delta
-    n = scale.n
-    a, b = line.a, line.b
-    W = w * math.hypot(1.0, a)
-    x = (np.arange(n, dtype=np.int64) + 0.5) * d
-    c = a * x + b
-    lo = np.maximum(np.ceil((c - W) / d - 0.5).astype(np.int64), 0)
-    hi = np.minimum(np.floor((c + W) / d - 0.5).astype(np.int64), n - 1)
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    x = (np.arange(scale.n, dtype=np.int64) + 0.5) * d
+    _, lens = _row_spans(line.a, line.b, w * math.hypot(1.0, line.a), x, d, scale.n)
+    return int(lens.sum())
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,19 @@ def _decode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _ancestor_codes(codes: np.ndarray, shift: int) -> np.ndarray:
+    """Code of each cell's ancestor `shift` dyadic levels up, in input order
+    (not sorted, not deduplicated)."""
+    up = np.uint64(shift)
+    return (((codes >> np.uint64(32)) >> up) << np.uint64(32)) | ((codes & _CODE_MASK) >> up)
+
+
+def _run_offsets(lens: np.ndarray) -> np.ndarray:
+    """Position of every element within its run, for runs of the given
+    non-negative lengths laid end to end: 0..lens[0]-1, 0..lens[1]-1, ..."""
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """np.unique for code arrays: sort, then drop adjacent duplicates (on
     uint64 codes a sort is far cheaper than np.unique)."""
@@ -317,10 +330,7 @@ class CellSet:
             lengths = runs[:, 2].astype(np.int64)
             j = np.repeat(runs[:, 0].astype(np.int64), lengths)
             i0 = np.repeat(runs[:, 1].astype(np.int64), lengths)
-            off = np.arange(lengths.sum(), dtype=np.int64) - np.repeat(
-                np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths
-            )
-            cs = CellSet.from_ij(scale, i0 + off, j)
+            cs = CellSet.from_ij(scale, i0 + _run_offsets(lengths), j)
         if cs.n_cells != count:
             raise GridError(f"cell count mismatch: header {count}, payload {cs.n_cells}")
         return cs
@@ -343,12 +353,8 @@ class CellSet:
 
 def coarse_codes(E: CellSet, rho: float) -> np.ndarray:
     """Sorted unique codes of the dyadic rho-cells meeting E."""
-    j_level = _rho_level(rho, E.scale.k)
-    shift = E.scale.k - j_level
-    if E.codes.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    i, j = _decode(E.codes)
-    return _sorted_unique(_encode(i >> shift, j >> shift))
+    shift = E.scale.k - _rho_level(rho, E.scale.k)
+    return _sorted_unique(_ancestor_codes(E.codes, shift))
 
 
 def covering_count(E: CellSet, rho: float) -> int:

@@ -218,35 +218,21 @@ def verify_corollary(F: LineFamily, t: float, eps1: float, eps2: float) -> Theor
     At t = 1 this is the classical two-ends bound delta^(eps1/2) *
     lambda^(1/2) * sum; no separate verifier is exposed for that case.
     """
-    delta, t_star, lhs, s_sum, lam, gam, kt, te = _family_measurements(F, t, eps1, eps2)
+    rep = verify_theorem(F, t, eps1, eps2)
     sh_kt = float(
-        max(katz_tao_constant(sh.cells, t_star).constant for _, sh in F.entries)
+        max(katz_tao_constant(sh.cells, rep.t_star).constant for _, sh in F.entries)
     )
-    flags = []
-    if kt > KT_THRESHOLD:
-        flags.append(f"katz_tao_constant {kt:.3g} exceeds {KT_THRESHOLD}")
-    if te > TE_THRESHOLD:
-        flags.append(f"two_ends_constant {te:.3g} exceeds {TE_THRESHOLD}")
+    flags = rep.flags
     if sh_kt > KT_THRESHOLD:
-        flags.append(f"shading katz_tao_constant {sh_kt:.3g} exceeds {KT_THRESHOLD}")
-    rhs = rhs_core_value(delta, t, eps1, lam, gam, s_sum, with_gamma=False)
-    return TheoremReport(
-        delta=delta,
-        k=F.scale.k,
-        t=t,
-        t_star=t_star,
-        eps1=eps1,
-        eps2=eps2,
-        n_lines=len(F),
-        lhs_mass=lhs,
-        sum_shading=s_sum,
-        lam=lam,
-        gamma_star=gam,
-        kt_const=kt,
-        te_const=te,
+        flags += (f"shading katz_tao_constant {sh_kt:.3g} exceeds {KT_THRESHOLD}",)
+    rhs = rhs_core_value(
+        rep.delta, t, eps1, rep.lam, rep.gamma_star, rep.sum_shading, with_gamma=False
+    )
+    return replace(
+        rep,
         rhs_core=rhs,
-        ratio=lhs / rhs,
-        flags=tuple(flags),
+        ratio=rep.lhs_mass / rhs,
+        flags=flags,
         corollary=True,
         shading_kt_const=sh_kt,
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .grid import CellSet
@@ -21,6 +23,7 @@ __all__ = [
     "MeasureError",
     "NonConcentrationReport",
     "GammaReport",
+    "TripledCaps",
     "katz_tao_constant",
     "frostman_constant",
     "frostman_constant_1d",
@@ -85,36 +88,78 @@ def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
     return pts, delta
 
 
-def _grid_counts(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts of points per dyadic r-cell; cells keyed by (iq, jq) int64 pairs."""
-    iq = np.floor(pts[:, 0] / r).astype(np.int64)
-    jq = np.floor(pts[:, 1] / r).astype(np.int64)
-    key = iq * np.int64(1 << 32) + jq  # indices stay far below 2^31
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    uniq, counts = np.unique(key, return_counts=True)
-    return uniq, counts, key
+class TripledCaps:
+    """Greedy acceptance under caps on every tripled cell 3Q.
+
+    levels holds (r, cap) pairs.  A point is accepted when, at every level,
+    each dyadic r-cell Q whose 3Q contains it still holds at most cap points
+    in 3Q with the point added; counts[l] maps Q = (i, j) to the number of
+    accepted points in 3Q.
+    """
+
+    def __init__(self, levels: Sequence[tuple[float, float]]) -> None:
+        self.levels = list(levels)
+        self.counts: list[dict[tuple[int, int], int]] = [{} for _ in self.levels]
+
+    def try_add(self, x: float, y: float) -> bool:
+        """Accept (x, y) if no cap is exceeded; counts change only on accept."""
+        blocks = []
+        for (r, cap), g in zip(self.levels, self.counts):
+            ci, cj = math.floor(x / r), math.floor(y / r)
+            block = [(ci + u, cj + w) for u in (-1, 0, 1) for w in (-1, 0, 1)]
+            if max(g.get(q, 0) for q in block) + 1 > cap:
+                return False
+            blocks.append(block)
+        for block, g in zip(blocks, self.counts):
+            for q in block:
+                g[q] = g.get(q, 0) + 1
+        return True
+
+    def keep_mask(self, pts: np.ndarray) -> np.ndarray:
+        """try_add over the rows of pts in (y, x) lexicographic order; the mask
+        of the accepted rows."""
+        keep = np.zeros(pts.shape[0], dtype=bool)
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+        for p in np.lexsort((pts[:, 0], pts[:, 1])).tolist():
+            keep[p] = self.try_add(xs[p], ys[p])
+        return keep
 
 
 def _unpack(key: int) -> tuple[int, int]:
-    """Inverse of the iq * 2^32 + jq packing of _grid_counts; jq is signed, so
+    """Inverse of the iq * 2^32 + jq cell key of _tripled_max; jq is signed, so
     iq is the nearest multiple, not the floor."""
     iq = (key + (1 << 31)) >> 32
     return iq, key - (iq << 32)
 
 
-def _tripled_sums(uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each occupied cell Q, the count of points in the 3x3 block 3Q."""
+def _tripled_max(
+    pts: np.ndarray, levels: list[tuple[float, float]]
+) -> tuple[float, float, tuple[float, float]]:
+    """max over (r, denom) levels, fine to coarse, of #(pts in 3Q) / denom over
+    dyadic r-cells Q, with the center of the first maximal Q as witness.
+
+    Ties keep the finest level (strict >) and, within a level, the least
+    (iq, jq) cell.
+    """
+    best, wit_r, wit_x = -1.0, levels[0][0], (0.0, 0.0)
     big = np.int64(1 << 32)
-    sums = np.zeros(uniq.size, dtype=np.int64)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            nb = uniq + di * big + dj
-            pos = np.searchsorted(uniq, nb)
-            pos = np.clip(pos, 0, uniq.size - 1)
-            hit = uniq[pos] == nb
-            sums += np.where(hit, counts[pos], 0)
-    return sums
+    for r, denom in levels:
+        iq = np.floor(pts[:, 0] / r).astype(np.int64)
+        jq = np.floor(pts[:, 1] / r).astype(np.int64)
+        uniq, counts = np.unique(iq * big + jq, return_counts=True)  # indices stay far below 2^31
+        sums = np.zeros(uniq.size, dtype=np.int64)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                nb = uniq + di * big + dj
+                pos = np.minimum(np.searchsorted(uniq, nb), uniq.size - 1)
+                sums += np.where(uniq[pos] == nb, counts[pos], 0)
+        idx = int(np.argmax(sums))
+        ratio = sums[idx] / denom
+        if ratio > best:
+            best = float(ratio)
+            iq0, jq0 = _unpack(int(uniq[idx]))
+            wit_r, wit_x = r, ((iq0 + 0.5) * r, (jq0 + 0.5) * r)
+    return best, wit_r, wit_x
 
 
 def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrationReport:
@@ -126,21 +171,11 @@ def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrati
     if not (0.0 < s <= 2.0):
         raise MeasureError(f"exponent {s} outside (0, 2]")
     pts, d = _as_points(E, delta)
+    if not (0.0 < d <= 1.0):
+        raise MeasureError(f"delta {d} outside (0, 1]")
     k = round(math.log2(1.0 / d))
-    best = -1.0
-    wit_r, wit_x = d, (0.0, 0.0)
-    for j in range(k, -1, -1):
-        r = 2.0 ** (-j)
-        uniq, counts, _ = _grid_counts(pts, r)
-        sums = _tripled_sums(uniq, counts)
-        denom = (r / d) ** s
-        idx = int(np.argmax(sums))
-        ratio = sums[idx] / denom
-        if ratio > best:
-            best = float(ratio)
-            iq, jq = _unpack(int(uniq[idx]))
-            wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
-    return NonConcentrationReport(s, best, wit_r, wit_x)
+    levels = [(2.0 ** (-j), (2.0 ** (-j) / d) ** s) for j in range(k, -1, -1)]
+    return NonConcentrationReport(s, *_tripled_max(pts, levels))
 
 
 def frostman_constant(E: CellSet, s: float, Delta: float | None = None) -> NonConcentrationReport:
@@ -155,52 +190,22 @@ def frostman_constant(E: CellSet, s: float, Delta: float | None = None) -> NonCo
     if not (d <= Delta <= 1.0):
         raise MeasureError(f"Delta {Delta} outside [delta, 1]")
     j_max = math.floor(math.log2(1.0 / Delta) + 1e-9)
-    pts = E.centers()
-    total = pts.shape[0]
-    best = -1.0
-    wit_r, wit_x = 1.0, (0.5, 0.5)
-    for j in range(j_max, -1, -1):
-        r = 2.0 ** (-j)
-        uniq, counts, _ = _grid_counts(pts, r)
-        sums = _tripled_sums(uniq, counts)
-        denom = (r**s) * total
-        idx = int(np.argmax(sums))
-        ratio = sums[idx] / denom
-        if ratio > best:
-            best = float(ratio)
-            iq, jq = _unpack(int(uniq[idx]))
-            wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
-    return NonConcentrationReport(s, best, wit_r, wit_x)
+    total = E.n_cells
+    levels = [(2.0 ** (-j), (2.0 ** (-j)) ** s * total) for j in range(j_max, -1, -1)]
+    return NonConcentrationReport(s, *_tripled_max(E.centers(), levels))
 
 
 def frostman_constant_1d(offsets: np.ndarray, base: float, s: float) -> NonConcentrationReport:
     """1-d analogue on [0, 1]: least C with #(E in 3I) <= C r^s #E, windows dyadic."""
-    pos = np.sort(np.asarray(offsets, dtype=np.float64))
+    pos = np.asarray(offsets, dtype=np.float64).ravel()
     if pos.size == 0:
         raise MeasureError("empty offset set")
     if not (0.0 < base <= 1.0):
         raise MeasureError(f"base resolution {base} outside (0, 1]")
     j_max = max(0, round(math.log2(1.0 / base)))
-    total = pos.size
-    best = -1.0
-    wit_r, wit_x = 1.0, (0.5, 0.0)
-    for j in range(j_max, -1, -1):
-        r = 2.0 ** (-j)
-        idx = np.floor(pos / r).astype(np.int64)
-        uniq, counts = np.unique(idx, return_counts=True)
-        sums = np.zeros(uniq.size, dtype=np.int64)
-        for doff in (-1, 0, 1):
-            p = np.searchsorted(uniq, uniq + doff)
-            p = np.clip(p, 0, uniq.size - 1)
-            hit = uniq[p] == uniq + doff
-            sums += np.where(hit, counts[p], 0)
-        denom = (r**s) * total
-        amax = int(np.argmax(sums))
-        ratio = sums[amax] / denom
-        if ratio > best:
-            best = float(ratio)
-            wit_r, wit_x = r, ((uniq[amax] + 0.5) * r, 0.0)
-    return NonConcentrationReport(s, best, wit_r, wit_x)
+    levels = [(2.0 ** (-j), (2.0 ** (-j)) ** s * pos.size) for j in range(j_max, -1, -1)]
+    best, wit_r, (wit_x, _) = _tripled_max(np.stack([pos, np.zeros_like(pos)], axis=1), levels)
+    return NonConcentrationReport(s, best, wit_r, (wit_x, 0.0))
 
 
 def density(Y: Shading) -> float:

@@ -15,9 +15,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import CellSet, GridError, Scale, ScaleLadder, coarsen, covering_count
+from .grid import (
+    CellSet,
+    GridError,
+    Scale,
+    ScaleLadder,
+    _ancestor_codes,
+    _sorted_unique,
+    coarsen,
+    covering_count,
+)
 from .geometry import Line, LineFamily, Shading, segment_count
-from .measures import frostman_constant_1d, katz_tao_constant
+from .measures import TripledCaps, frostman_constant_1d, katz_tao_constant
 
 __all__ = [
     "StructureError",
@@ -43,9 +52,6 @@ __all__ = [
     "verify_shading_multiscale",
     "dyadic_pigeonhole",
 ]
-
-_CODE_HI = np.uint64(32)
-
 
 class StructureError(ValueError):
     pass
@@ -108,27 +114,11 @@ class RefinementTrace:
 # -- uniformization ------------------------------------------------------------
 
 
-def _level_codes(codes: np.ndarray, k: int, level_k: int) -> np.ndarray:
-    """Map delta-cell codes to the codes of their ancestors at scale 2^-level_k."""
-    shift = np.uint64(k - level_k)
-    i = codes & np.uint64(0xFFFFFFFF)
-    j = codes >> _CODE_HI
-    return ((j >> shift) << _CODE_HI) | (i >> shift)
-
-
 def _child_counts(codes: np.ndarray, k: int, ladder: ScaleLadder, j: int):
     """Per-parent occupied-child counts at ladder level j (parents at j-1)."""
-    child = np.unique(_level_codes(codes, k, ladder.m * j))
-    parent_of_child = _level_codes_from_level(child, ladder.m)
-    par, counts = np.unique(parent_of_child, return_counts=True)
+    child = _sorted_unique(_ancestor_codes(codes, k - ladder.m * j))
+    par, counts = np.unique(_ancestor_codes(child, ladder.m), return_counts=True)
     return par, counts
-
-
-def _level_codes_from_level(codes: np.ndarray, m: int) -> np.ndarray:
-    shift = np.uint64(m)
-    i = codes & np.uint64(0xFFFFFFFF)
-    j = codes >> _CODE_HI
-    return ((j >> shift) << _CODE_HI) | (i >> shift)
 
 
 def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, RefinementTrace]:
@@ -151,7 +141,7 @@ def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, Refinem
     for j in range(ladder.N, 0, -1):
         par, counts = _child_counts(codes, k, ladder, j)
         classes = np.floor(np.log2(counts)).astype(np.int64)
-        cell_parents = _level_codes(codes, k, ladder.m * (j - 1))
+        cell_parents = _ancestor_codes(codes, k - ladder.m * (j - 1))
         cls_of_cell = classes[np.searchsorted(par, cell_parents)]
         occupied = np.unique(classes)
         mass = np.bincount(cls_of_cell, minlength=int(classes.max()) + 1)
@@ -254,13 +244,6 @@ def shading_window_counts(Y: Shading, ladder: ScaleLadder) -> np.ndarray:
     for j in range(ladder.N + 1):
         out[j] = np.unique(np.floor(pos / ladder.rho(j)).astype(np.int64)).size
     return out
-
-
-def shading_branching(Y: Shading, ladder: ScaleLadder) -> BranchingFunction:
-    counts = shading_window_counts(Y, ladder)
-    vals = np.log2(counts) / ladder.k
-    vals[0] = 0.0 if counts[0] == 1 else vals[0]
-    return BranchingFunction(ladder, vals)
 
 
 def common_branching(
@@ -494,41 +477,10 @@ def katz_tao_subsample(E, rho: float, s: float, delta: float | None = None):
     while r <= 1.0:
         levels.append((r, 8.0 * (r / rho) ** s))
         r *= 2.0
-    order = np.lexsort((pts[:, 0], pts[:, 1]))
-    grids: list[dict[tuple[int, int], int]] = [dict() for _ in levels]
-    kept_idx = []
-    for p in order:
-        x, y = pts[p]
-        ok = True
-        cells = []
-        for (r, cap), g in zip(levels, grids):
-            ci, cj = int(math.floor(x / r)), int(math.floor(y / r))
-            cells.append((ci, cj))
-            # Max 3Q sum over the 9 cells Q with (ci, cj) in 3Q, after adding p.
-            local = np.zeros((5, 5), dtype=np.int64)
-            for u in range(-2, 3):
-                for w in range(-2, 3):
-                    cval = g.get((ci + u, cj + w))
-                    if cval:
-                        local[u + 2, w + 2] = cval
-            local[2, 2] += 1
-            worst = max(
-                int(local[a : a + 3, b : b + 3].sum()) for a in range(3) for b in range(3)
-            )
-            if worst > cap:
-                ok = False
-                break
-        if ok:
-            kept_idx.append(p)
-            for (ci, cj), g in zip(cells, grids):
-                g[(ci, cj)] = g.get((ci, cj), 0) + 1
-    kept = np.array(sorted(kept_idx), dtype=np.int64)
-    if is_cellset:
-        sub = pts[kept]
-        i = np.floor(sub[:, 0] / d).astype(np.int64)
-        j = np.floor(sub[:, 1] / d).astype(np.int64)
-        return CellSet.from_ij(E.scale, i, j)
-    return pts[kept]
+    keep = TripledCaps(levels).keep_mask(pts)
+    if is_cellset:  # pts are the centers of E's cells, in code order
+        return CellSet(E.scale, E.codes[keep])
+    return pts[keep]
 
 
 # -- rich-point refinement -----------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from tubelab import CellSet, Line, LineFamily, Scale, Shading, tube_cells
 from tubelab.constructions import ConstructionError, _scale_of, bundle_offsets
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError
-from tubelab.measures import GammaReport, MeasureError
+from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport
 
 
 # -- random generators -------------------------------------------------------
@@ -319,3 +319,187 @@ def reference_bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         (child, Shading(child, cells)) for child, cells in candidates if cells.n_cells >= floor
     ]
     return LineFamily(new_scale, tuple(entries))
+
+
+# Per-scale non-concentration constants and the 5x5-window greedy, as they
+# were before measures._tripled_max and measures.TripledCaps replaced them.
+
+
+def _reference_grid_counts(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts of points per dyadic r-cell; cells keyed by (iq, jq) int64 pairs."""
+    iq = np.floor(pts[:, 0] / r).astype(np.int64)
+    jq = np.floor(pts[:, 1] / r).astype(np.int64)
+    key = iq * np.int64(1 << 32) + jq  # indices stay far below 2^31
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    uniq, counts = np.unique(key, return_counts=True)
+    return uniq, counts, key
+
+
+def _reference_unpack(key: int) -> tuple[int, int]:
+    iq = (key + (1 << 31)) >> 32
+    return iq, key - (iq << 32)
+
+
+def _reference_tripled_sums(uniq: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each occupied cell Q, the count of points in the 3x3 block 3Q."""
+    big = np.int64(1 << 32)
+    sums = np.zeros(uniq.size, dtype=np.int64)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            nb = uniq + di * big + dj
+            pos = np.searchsorted(uniq, nb)
+            pos = np.clip(pos, 0, uniq.size - 1)
+            hit = uniq[pos] == nb
+            sums += np.where(hit, counts[pos], 0)
+    return sums
+
+
+def reference_katz_tao_constant(pts: np.ndarray, s: float, d: float) -> NonConcentrationReport:
+    """katz_tao_constant on an (n, 2) point array at scale d, one scale at a time."""
+    k = round(math.log2(1.0 / d))
+    best = -1.0
+    wit_r, wit_x = d, (0.0, 0.0)
+    for j in range(k, -1, -1):
+        r = 2.0 ** (-j)
+        uniq, counts, _ = _reference_grid_counts(pts, r)
+        sums = _reference_tripled_sums(uniq, counts)
+        denom = (r / d) ** s
+        idx = int(np.argmax(sums))
+        ratio = sums[idx] / denom
+        if ratio > best:
+            best = float(ratio)
+            iq, jq = _reference_unpack(int(uniq[idx]))
+            wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
+    return NonConcentrationReport(s, best, wit_r, wit_x)
+
+
+def reference_frostman_constant(
+    E: CellSet, s: float, Delta: float | None = None
+) -> NonConcentrationReport:
+    d = E.scale.delta
+    if Delta is None:
+        Delta = d
+    j_max = math.floor(math.log2(1.0 / Delta) + 1e-9)
+    pts = E.centers()
+    total = pts.shape[0]
+    best = -1.0
+    wit_r, wit_x = 1.0, (0.5, 0.5)
+    for j in range(j_max, -1, -1):
+        r = 2.0 ** (-j)
+        uniq, counts, _ = _reference_grid_counts(pts, r)
+        sums = _reference_tripled_sums(uniq, counts)
+        denom = (r**s) * total
+        idx = int(np.argmax(sums))
+        ratio = sums[idx] / denom
+        if ratio > best:
+            best = float(ratio)
+            iq, jq = _reference_unpack(int(uniq[idx]))
+            wit_r, wit_x = r, ((iq + 0.5) * r, (jq + 0.5) * r)
+    return NonConcentrationReport(s, best, wit_r, wit_x)
+
+
+def reference_frostman_constant_1d(
+    offsets: np.ndarray, base: float, s: float
+) -> NonConcentrationReport:
+    pos = np.sort(np.asarray(offsets, dtype=np.float64))
+    j_max = max(0, round(math.log2(1.0 / base)))
+    total = pos.size
+    best = -1.0
+    wit_r, wit_x = 1.0, (0.5, 0.0)
+    for j in range(j_max, -1, -1):
+        r = 2.0 ** (-j)
+        idx = np.floor(pos / r).astype(np.int64)
+        uniq, counts = np.unique(idx, return_counts=True)
+        sums = np.zeros(uniq.size, dtype=np.int64)
+        for doff in (-1, 0, 1):
+            p = np.searchsorted(uniq, uniq + doff)
+            p = np.clip(p, 0, uniq.size - 1)
+            hit = uniq[p] == uniq + doff
+            sums += np.where(hit, counts[p], 0)
+        denom = (r**s) * total
+        amax = int(np.argmax(sums))
+        ratio = sums[amax] / denom
+        if ratio > best:
+            best = float(ratio)
+            wit_r, wit_x = r, ((uniq[amax] + 0.5) * r, 0.0)
+    return NonConcentrationReport(s, best, wit_r, wit_x)
+
+
+def _reference_window_accept(
+    levels: list[tuple[float, float]], grids: list[dict[tuple[int, int], int]], x: float, y: float
+) -> bool:
+    """One step of the 3Q-capped greedy: per level, the 5x5 window of per-cell
+    counts around the point and its nine 3x3 sums; the counts change only
+    when the point is accepted."""
+    cells = []
+    for (r, capr), g in zip(levels, grids):
+        ci, cj = int(math.floor(x / r)), int(math.floor(y / r))
+        cells.append((ci, cj))
+        local = np.zeros((5, 5), dtype=np.int64)
+        for u in range(-2, 3):
+            for w in range(-2, 3):
+                c = g.get((ci + u, cj + w))
+                if c:
+                    local[u + 2, w + 2] = c
+        local[2, 2] += 1
+        worst = max(int(local[a : a + 3, b : b + 3].sum()) for a in range(3) for b in range(3))
+        if worst > capr:
+            return False
+    for cell, g in zip(cells, grids):
+        g[cell] = g.get(cell, 0) + 1
+    return True
+
+
+def reference_capped_accept(
+    pts: np.ndarray, levels: list[tuple[float, float]], order: np.ndarray
+) -> np.ndarray:
+    """Greedy 3Q-capped acceptance of the rows of pts in the given order; the
+    mask of accepted rows."""
+    grids: list[dict[tuple[int, int], int]] = [dict() for _ in levels]
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    for p in order:
+        x, y = pts[p]
+        keep[p] = _reference_window_accept(levels, grids, x, y)
+    return keep
+
+
+def reference_katz_tao_levels(delta: float, s: float, cap: float) -> list[tuple[float, float]]:
+    """The (r, cap) levels of build_base (cap 8) and random_config (cap 16)."""
+    k = round(math.log2(1.0 / delta))
+    return [(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)]
+
+
+def reference_subsample_levels(rho: float, s: float) -> list[tuple[float, float]]:
+    """The (r, cap) levels of katz_tao_subsample."""
+    levels = []
+    r = rho
+    while r <= 1.0:
+        levels.append((r, 8.0 * (r / rho) ** s))
+        r *= 2.0
+    return levels
+
+
+def reference_random_duals(
+    delta: float, t: float, seed: int, max_lines: int = 2048
+) -> list[tuple[int, int]]:
+    """The dual points random_config draws and accepts, in draw order."""
+    k = round(math.log2(1.0 / delta))
+    n = 1 << k
+    n_target = max(1, min(round(delta**-t), max_lines))
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    levels = reference_katz_tao_levels(delta, t, 16.0)
+    grids: list[dict[tuple[int, int], int]] = [dict() for _ in levels]
+    chosen: list[tuple[int, int]] = []
+    seen = set()
+    attempts = 0
+    while len(chosen) < n_target and attempts < 60 * n_target:
+        attempts += 1
+        a_q = int(rng.integers(-n, n + 1))
+        b_q = int(rng.integers(0, n))
+        if (a_q, b_q) in seen:
+            continue
+        seen.add((a_q, b_q))
+        if _reference_window_accept(levels, grids, a_q * delta, b_q * delta):
+            chosen.append((a_q, b_q))
+    return chosen

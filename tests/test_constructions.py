@@ -26,13 +26,21 @@ from tubelab import (
 )
 from tubelab.constructions import (
     ConfigSpec,
+    _cantor_points_2d,
+    _katz_tao_caps,
     bundle_offsets,
     inverse_rescale_case1,
     measure_remark_bullets,
 )
 from tubelab.geometry import CHART_STEEP
 
-from conftest import random_family, reference_bundle_case2
+from conftest import (
+    random_family,
+    reference_bundle_case2,
+    reference_capped_accept,
+    reference_katz_tao_levels,
+    reference_random_duals,
+)
 
 
 # -- base configurations -------------------------------------------------------
@@ -64,6 +72,21 @@ def test_build_base_degenerate_s():
     fam = build_base(r, 1.0, 0.05, seed=9)
     for _, sh in fam.entries:
         assert sh.cells.n_cells <= 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),
+    t=st.floats(0.5, 2.0),
+    cap=st.one_of(st.just(8.0), st.floats(1.0, 16.0)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_build_base_greedy_matches_reference(k, t, cap, seed):
+    r = 2.0**-k
+    pts = _cantor_points_2d(k, t, np.random.default_rng(np.random.PCG64(seed))) * r
+    order = np.lexsort((pts[:, 0], pts[:, 1]))
+    expected = reference_capped_accept(pts, reference_katz_tao_levels(r, t, cap), order)
+    assert np.array_equal(_katz_tao_caps(r, t, cap).keep_mask(pts), expected)
 
 
 def test_build_base_infeasible():
@@ -315,6 +338,19 @@ def test_random_config_deterministic():
     assert json.dumps(a.to_json_obj(), sort_keys=True) != json.dumps(
         c.to_json_obj(), sort_keys=True
     )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),
+    t=st.floats(0.2, 1.99),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_random_config_duals_match_reference(k, t, seed):
+    delta = 2.0**-k
+    fam = random_config(delta, t, 1.0, 0.5, seed, max_lines=200)
+    expected = reference_random_duals(delta, t, seed, max_lines=200)
+    assert [(ln.a_q, ln.b_q) for ln in fam.lines] == expected
 
 
 def test_random_config_measured_constants():

@@ -20,14 +20,19 @@ from tubelab import (
     two_ends_constant,
 )
 from tubelab.grid import coarsen
-from tubelab.measures import MeasureError, frostman_constant_1d, gamma_value_at
+from tubelab.measures import MeasureError, TripledCaps, frostman_constant_1d, gamma_value_at
 
 from conftest import (
     naive_katz_tao,
     random_cellset,
     random_line,
     random_shading,
+    reference_capped_accept,
+    reference_frostman_constant,
+    reference_frostman_constant_1d,
     reference_gamma,
+    reference_katz_tao_constant,
+    reference_katz_tao_levels,
 )
 
 
@@ -123,6 +128,25 @@ def test_kt_rejects_bad_input():
         katz_tao_constant(np.array([[0.0, 0.0]]), 0.0, delta=0.1)
     with pytest.raises(MeasureError):
         katz_tao_constant(np.array([[0.0, 0.0]]), 1.0)  # missing delta
+    with pytest.raises(MeasureError):
+        katz_tao_constant(np.array([[0.0, 0.0]]), 1.0, delta=2.0)
+
+
+_coords = st.floats(-1.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pts=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=40),
+    delta=st.one_of(st.integers(0, 7).map(lambda k: 2.0**-k), st.floats(0.004, 1.0)),
+    s=st.floats(0.05, 2.0),
+    snap=st.booleans(),
+)
+def test_kt_matches_reference(pts, delta, s, snap):
+    arr = np.array(pts, dtype=np.float64)
+    if snap:  # dual-lattice points: many shared cells and tied maxima
+        arr = np.round(arr / delta) * delta
+    assert katz_tao_constant(arr, s, delta=delta) == reference_katz_tao_constant(arr, s, delta)
 
 
 # -- Frostman constants -----------------------------------------------------------
@@ -166,6 +190,52 @@ def test_frostman_refinement_law():
                 frostman_constant(sub, s, Delta=Delta).constant
                 <= frostman_constant(E, s, Delta=Delta).constant / c + 1e-9
             )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 7),
+    density=st.floats(0.01, 0.6),
+    s=st.floats(0.05, 2.0),
+    coarse=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_frostman_matches_reference(k, density, s, coarse, seed):
+    E = random_cellset(np.random.default_rng(seed), k, density)
+    Delta = None if coarse is None else E.scale.delta ** coarse
+    assert frostman_constant(E, s, Delta=Delta) == reference_frostman_constant(E, s, Delta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    offsets=st.lists(_coords, min_size=1, max_size=40),
+    base=st.one_of(st.integers(0, 8).map(lambda k: 2.0**-k), st.floats(0.002, 1.0)),
+    s=st.floats(0.05, 2.0),
+)
+def test_frostman_1d_matches_reference(offsets, base, s):
+    arr = np.array(offsets, dtype=np.float64)
+    assert frostman_constant_1d(arr, base, s) == reference_frostman_constant_1d(arr, base, s)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(3, 7),
+    cap=st.floats(1.0, 16.0),
+    s=st.floats(0.2, 2.0),
+    n=st.integers(1, 300),
+    spread=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_tripled_caps_matches_reference_in_draw_order(k, cap, s, n, spread, seed):
+    # random_config's order: each point is tried as it is drawn, with repeats
+    rng = np.random.default_rng(seed)
+    d = 2.0**-k
+    half = max(1, (1 << k) >> spread)
+    pts = rng.integers(-half, half + 1, size=(n, 2)).astype(np.float64) * d
+    levels = reference_katz_tao_levels(d, s, cap)
+    caps = TripledCaps(levels)
+    got = np.array([caps.try_add(x, y) for x, y in pts.tolist()])
+    assert np.array_equal(got, reference_capped_accept(pts, levels, np.arange(n)))
 
 
 def test_frostman_1d_uniform_vs_cluster():

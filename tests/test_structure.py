@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import (
     CellSet,
@@ -36,7 +38,14 @@ from tubelab.structure import (
     verify_shading_multiscale,
 )
 
-from conftest import random_cellset, random_family, random_line, random_shading
+from conftest import (
+    random_cellset,
+    random_family,
+    random_line,
+    random_shading,
+    reference_capped_accept,
+    reference_subsample_levels,
+)
 
 
 # -- uniformization -----------------------------------------------------------
@@ -316,6 +325,28 @@ def test_subsample_rejects_concentrated_input():
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     with pytest.raises(StructureError, match="not Katz-Tao"):
         katz_tao_subsample(pts, 2.0**-2, 0.3, delta=d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(3, 6),
+    j=st.integers(1, 5),
+    density=st.floats(0.01, 0.12),  # sparse enough to pass the Katz-Tao pre-check
+    s=st.floats(1.0, 2.0),
+    as_points=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_subsample_matches_reference(k, j, density, s, as_points, seed):
+    E = random_cellset(np.random.default_rng(seed), k, density)
+    rho = 2.0 ** -min(j, k - 1)
+    pts = E.centers()
+    keep = reference_capped_accept(
+        pts, reference_subsample_levels(rho, s), np.lexsort((pts[:, 0], pts[:, 1]))
+    )
+    if as_points:
+        assert np.array_equal(katz_tao_subsample(pts, rho, s, delta=E.scale.delta), pts[keep])
+    else:
+        assert katz_tao_subsample(E, rho, s) == CellSet(E.scale, E.codes[keep])
 
 
 def test_subsample_cellset_roundtrip():
