@@ -29,12 +29,14 @@ from .measures import (
     GammaReport,
     MeasureError,
     NonConcentrationReport,
+    densities,
     density,
     frostman_constant,
     gamma,
     gamma_sup,
     katz_tao_constant,
     two_ends_constant,
+    two_ends_constants,
 )
 from .structure import (
     BranchingFunction,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _ancestor_codes, _encode, _run_offsets
+from .grid import CellSet, Scale, _ancestor_codes, _check_codes, _encode, _run_offsets
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
@@ -23,11 +23,12 @@ from .geometry import (
     Line,
     LineFamily,
     Shading,
+    _check_in_tube,
     _row_spans,
     tube_cells,
     union_shadings,
 )
-from .measures import TripledCaps, katz_tao_constant, frostman_constant, density
+from .measures import TripledCaps, katz_tao_constant, frostman_constant, densities
 
 __all__ = [
     "ConstructionError",
@@ -320,7 +321,10 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
         inside = parent_codes[pos] == pcode
         codes, child = codes[inside], child[inside]
-        codes = codes[np.lexsort((codes, child))]
+        order = np.lexsort((codes, child))
+        codes, child = codes[order], child[order]
+        # CellSet's checks for all children of this parent at once
+        _check_codes(codes, n, child[1:] == child[:-1])
         bounds = np.cumsum(np.bincount(child, minlength=len(keys)))[:-1]
         for (a_new, b_new), child_codes in zip(keys, np.split(codes, bounds)):
             if child_codes.size == 0:
@@ -329,13 +333,14 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
                 child_line = Line(new_scale, CHART_SHALLOW, a_new, b_new)
             except GeometryError:
                 continue
-            candidates.append((child_line, CellSet(new_scale, child_codes)))
+            candidates.append((child_line, CellSet._from_sorted_codes(new_scale, child_codes)))
     if not candidates:
         raise ConstructionError("bundling produced no children")
     floor = max(1, max(c.n_cells for _, c in candidates) // 8)
-    entries = [
-        (child, Shading(child, cells)) for child, cells in candidates if cells.n_cells >= floor
-    ]
+    kept = [(child, cells) for child, cells in candidates if cells.n_cells >= floor]
+    # Shading's tube check for the whole family at once
+    _check_in_tube([child for child, _ in kept], [cells for _, cells in kept])
+    entries = [(child, Shading._from_checked(child, cells)) for child, cells in kept]
     return LineFamily(new_scale, tuple(entries))
 
 
@@ -451,7 +456,7 @@ def measure_remark_bullets(F: LineFamily, t: float, s: float) -> dict:
     r = F.scale.delta
     kt = katz_tao_constant(F.dual_points(), t, delta=r)
     masses = [sh.mass for _, sh in F.entries]
-    lam = min(density(sh) for _, sh in F.entries)
+    lam = float(densities(F.shadings).min())
     fr = max(frostman_constant(sh.cells, s).constant for _, sh in F.entries)
     e_mass = union_shadings(F).mass
     predicted = math.sqrt(lam) * r ** ((t - 1.0) / 2.0) * sum(masses)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _run_offsets, union_codes
+from .grid import CellSet, Scale, _decode, _run_offsets, union_codes
 
 __all__ = [
     "GeometryError",
@@ -36,6 +36,11 @@ __all__ = [
 
 CHART_SHALLOW = "s"
 CHART_STEEP = "t"
+
+# Cells (or line x column entries) per batch of the family-wide passes: a
+# whole family at k = 12 holds tens of millions of cells, so the per-cell
+# arrays are built a few thousand at a time.
+_CHUNK_CELLS = 1 << 12
 
 
 class GeometryError(ValueError):
@@ -121,13 +126,7 @@ class Line:
             u, v = p[:, 0], p[:, 1]
         else:
             u, v = p[:, 1], p[:, 0]
-        a, b = self.a, self.b
-        nrm = math.hypot(1.0, a)
-        u0, _ = self.param_range()
-        foot = (u + a * (v - b)) / (1.0 + a * a)
-        arc = (foot - u0) * nrm
-        off = (a * u - v + b) / nrm
-        return arc, off
+        return _arc_and_offset(u, v, self.a, self.b, self.param_range()[0], math.hypot(1.0, self.a))
 
     def requantize(self, scale: Scale) -> "Line":
         """Nearest line on another scale's quantization grid."""
@@ -140,6 +139,61 @@ class Line:
         bq = (self.b_q + half) >> shift
         aq = max(-scale.n, min(scale.n, aq))
         return Line(scale, self.chart, aq, bq)
+
+
+def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:
+    """Arclength from the square entry u0 and signed offset of the chart
+    points (u, v) on v = a*u + b, nrm = hypot(1, a); arguments broadcast."""
+    foot = (u + a * (v - b)) / (1.0 + a * a)
+    return (foot - u0) * nrm, (a * u - v + b) / nrm
+
+
+def _line_chunks(sizes: np.ndarray):
+    """[lo, hi) ranges of consecutive lines whose sizes sum to at most
+    _CHUNK_CELLS; a line larger than that gets a range of its own."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < ends.size:
+        start = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_CELLS, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _cell_arcs_and_offsets(
+    lines: Sequence["Line"], cellsets: Sequence[CellSet]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line.arc_and_offset of the cell centers of cellsets[l] on lines[l] for
+    every l in one pass: flat arrays holding one run per line, in code order.
+    The cell sets share one scale."""
+    sizes = [c.n_cells for c in cellsets]
+    i, j = _decode(np.concatenate([c.codes for c in cellsets]))
+    d = cellsets[0].scale.delta
+    x, y = (i + 0.5) * d, (j + 0.5) * d
+    steep = np.repeat([ln.chart == CHART_STEEP for ln in lines], sizes)
+    per_line = np.array(
+        [(ln.a, ln.b, ln.param_range()[0], math.hypot(1.0, ln.a)) for ln in lines]
+    )
+    a, b, u0, nrm = np.repeat(per_line, sizes, axis=0).T
+    return _arc_and_offset(np.where(steep, y, x), np.where(steep, x, y), a, b, u0, nrm)
+
+
+def _tube_slack(line: "Line", d: float) -> float:
+    """Largest offset a shading cell of width d may have from its line."""
+    return 2.0 * d * math.hypot(1.0, line.a) + 1e-12
+
+
+def _check_in_tube(lines: Sequence["Line"], cellsets: Sequence[CellSet]) -> None:
+    """Shading's tube check for every (lines[l], cellsets[l]) at once, in
+    chunks of lines; the cell sets share one scale."""
+    sizes = np.array([c.n_cells for c in cellsets], dtype=np.int64)
+    for lo, hi in _line_chunks(sizes):
+        chunk = lines[lo:hi]
+        _, off = _cell_arcs_and_offsets(chunk, cellsets[lo:hi])
+        d = cellsets[lo].scale.delta
+        slack = np.repeat([_tube_slack(ln, d) for ln in chunk], sizes[lo:hi])
+        if np.any(np.abs(off) > slack):
+            raise GeometryError("shading cell outside the tube")
 
 
 def _row_spans(a, b, W, x, d: float, n: int, shift=0) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +254,17 @@ class Shading:
     def __post_init__(self) -> None:
         if self.cells.is_empty():
             raise GeometryError("shading must be nonempty")
-        d = self.cells.scale.delta
-        centers = self.cells.centers()
-        _, off = self.line.arc_and_offset(centers)
-        if np.max(np.abs(off)) > 2.0 * d * math.hypot(1.0, self.line.a) + 1e-12:
+        _, off = self.line.arc_and_offset(self.cells.centers())
+        if np.max(np.abs(off)) > _tube_slack(self.line, self.cells.scale.delta):
             raise GeometryError("shading cell outside the tube")
+
+    @staticmethod
+    def _from_checked(line: Line, cells: CellSet) -> "Shading":
+        # Fast path: caller has run _check_in_tube on (line, cells), cells nonempty.
+        obj = object.__new__(Shading)
+        object.__setattr__(obj, "line", line)
+        object.__setattr__(obj, "cells", cells)
+        return obj
 
     @property
     def mass(self) -> float:

@@ -159,6 +159,22 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_codes(codes: np.ndarray, n: int, runs: np.ndarray | None = None) -> None:
+    """CellSet's invariants on n x n grid codes: every cell in bounds, and
+    codes strictly increasing between neighbours where runs is True (all of
+    them when runs is None), so several sets laid end to end are checked
+    at once."""
+    if codes.size:
+        i, j = _decode(codes)
+        if i.min() < 0 or i.max() >= n or j.min() < 0 or j.max() >= n:
+            raise GridError("cell indices out of bounds for the unit square")
+        down = codes[1:] <= codes[:-1]
+        if runs is not None:
+            down &= runs
+        if np.any(down):
+            raise GridError("cell codes not sorted or duplicated")
+
+
 @dataclass(frozen=True)
 class CellSet:
     """An immutable set of dyadic cells at a fixed scale.
@@ -175,13 +191,7 @@ class CellSet:
         if codes.ndim != 1:
             raise GridError("cell codes must be a 1-d array")
         object.__setattr__(self, "codes", codes)
-        if codes.size:
-            i, j = _decode(codes)
-            n = self.scale.n
-            if i.min() < 0 or i.max() >= n or j.min() < 0 or j.max() >= n:
-                raise GridError("cell indices out of bounds for the unit square")
-            if np.any(codes[1:] <= codes[:-1]):
-                raise GridError("cell codes not sorted or duplicated")
+        _check_codes(codes, self.scale.n)
 
     # -- construction ---------------------------------------------------
 

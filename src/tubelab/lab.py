@@ -36,11 +36,11 @@ from .geometry import GeometryError, LineFamily, union_shadings
 from .grid import GridError
 from .measures import (
     MeasureError,
-    density,
+    densities,
     frostman_constant,
     gamma_sup,
     katz_tao_constant,
-    two_ends_constant,
+    two_ends_constants,
 )
 from .structure import StructureError, multiscale_decompose, verify_decomposition
 
@@ -175,10 +175,10 @@ def _family_measurements(F: LineFamily, t: float, eps1: float, eps2: float):
     t_star = min(t, 2.0 - t)
     lhs = union_shadings(F).mass
     sum_shading = float(sum(sh.mass for _, sh in F.entries))
-    lam = float(min(density(sh) for _, sh in F.entries))
+    lam = float(densities(F.shadings).min())
     gam = gamma_sup(F, t_star).value
     kt = katz_tao_constant(F.dual_points(), t, delta=delta).constant
-    te = float(max(two_ends_constant(sh, eps1, eps2) for _, sh in F.entries))
+    te = float(two_ends_constants(F.shadings, eps1, eps2).max())
     return delta, t_star, lhs, sum_shading, lam, gam, kt, te
 
 
@@ -462,10 +462,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
                     fam.dual_points(), spec.t, delta=fam.scale.delta
                 ).to_json_obj(),
                 "gamma_star": gamma_sup(fam, t_star).to_json_obj(),
-                "lambda_min": float(min(density(sh) for _, sh in fam.entries)),
-                "two_ends_max": float(
-                    max(two_ends_constant(sh, eps1, eps2) for _, sh in fam.entries)
-                ),
+                "lambda_min": float(densities(fam.shadings).min()),
+                "two_ends_max": float(two_ends_constants(fam.shadings, eps1, eps2).max()),
                 "shading_frostman_max": float(
                     max(frostman_constant(sh.cells, spec.s).constant for _, sh in fam.entries)
                 ),

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet
-from .geometry import LineFamily, Shading
+from .grid import CellSet, Scale
+from .geometry import LineFamily, Shading, _cell_arcs_and_offsets, _line_chunks, _row_spans
 
 __all__ = [
     "MeasureError",
@@ -28,7 +28,9 @@ __all__ = [
     "frostman_constant",
     "frostman_constant_1d",
     "density",
+    "densities",
     "two_ends_constant",
+    "two_ends_constants",
     "gamma",
     "gamma_sup",
 ]
@@ -208,12 +210,34 @@ def frostman_constant_1d(offsets: np.ndarray, base: float, s: float) -> NonConce
     return NonConcentrationReport(s, best, wit_r, (wit_x, 0.0))
 
 
+def _one_scale(shadings: Sequence[Shading]) -> Scale:
+    if not shadings:
+        raise MeasureError("no shadings to measure")
+    scale = shadings[0].cells.scale
+    if any(sh.cells.scale != scale for sh in shadings):
+        raise MeasureError("shadings on different scales")
+    return scale
+
+
 def density(Y: Shading) -> float:
     """lambda: shading mass over the mass of its full-width tube."""
-    from .geometry import tube_cell_count
+    return float(densities([Y])[0])
 
-    lam = Y.cells.n_cells / tube_cell_count(Y.line, Y.cells.scale.delta, Y.cells.scale)
-    return float(lam)
+
+def densities(shadings: Sequence[Shading]) -> np.ndarray:
+    """density of every shading (one scale).  The tube counts of a chunk of
+    lines come from one (line x column) _row_spans, as in tube_cell_count."""
+    scale = _one_scale(shadings)
+    d, n = scale.delta, scale.n
+    a, b, W = np.array(
+        [(sh.line.a, sh.line.b, d * math.hypot(1.0, sh.line.a)) for sh in shadings]
+    ).T[:, :, None]
+    x = (np.arange(n, dtype=np.int64) + 0.5) * d
+    tubes = np.empty(len(shadings), dtype=np.int64)
+    for lo, hi in _line_chunks(np.full(len(shadings), n)):
+        _, lens = _row_spans(a[lo:hi], b[lo:hi], W[lo:hi], x, d, n)
+        tubes[lo:hi] = lens.sum(axis=1)
+    return np.array([sh.cells.n_cells for sh in shadings]) / tubes
 
 
 def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
@@ -221,22 +245,43 @@ def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
 
     Windows slide at delta steps along arclength; the maximum over all grid
     starts equals the maximum over the per-cell candidate starts evaluated
-    here (window counts only change when an endpoint crosses a position).
+    by two_ends_constants (window counts only change when an endpoint
+    crosses a position).
+    """
+    return float(two_ends_constants([Y], eps1, eps2)[0])
+
+
+def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) -> np.ndarray:
+    """two_ends_constant of every shading (one scale).
+
+    A chunk of lines holds the arc positions of all its cells in one flat
+    array, one run per line.  Each cell's candidate window [c, c + W] adds a
+    start event at c and an end event at c + W.  Sorted by (line, value,
+    kind) with start < position < end on ties, the running count of
+    positions at the end event minus the one at the start event is the
+    window's count, positions on either end included.
     """
     if not (0.0 < eps2 < eps1 < 1.0):
         raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
-    d = Y.cells.scale.delta
+    d = _one_scale(shadings).delta
     W = d**eps1
-    pos = Y.arc_positions()
-    lam = max(Y.line.length_in_square(), d)
-    cand = np.floor(pos / d) * d
-    if lam > W:
-        cand = np.minimum(cand, lam - W)
-    cand = np.unique(np.maximum(cand, 0.0))
-    hi = np.searchsorted(pos, cand + W, side="right")
-    lo = np.searchsorted(pos, cand, side="left")
-    max_count = int(np.max(hi - lo))
-    return max_count / ((d**eps2) * pos.size)
+    sizes = np.array([sh.cells.n_cells for sh in shadings], dtype=np.int64)
+    best = np.empty(len(shadings), dtype=np.int64)
+    for lo, hi in _line_chunks(sizes):
+        chunk = shadings[lo:hi]
+        pos, _ = _cell_arcs_and_offsets([sh.line for sh in chunk], [sh.cells for sh in chunk])
+        line = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        lam = np.array([max(sh.line.length_in_square(), d) for sh in chunk])
+        start = np.minimum(np.floor(pos / d) * d, np.where(lam > W, lam - W, np.inf)[line])
+        start = np.maximum(start, 0.0)
+        m = pos.size
+        kind = np.repeat(np.arange(3, dtype=np.int8), m)
+        order = np.lexsort((kind, np.concatenate([start, pos, start + W]), np.tile(line, 3)))
+        seen = np.empty(3 * m, dtype=np.int64)
+        seen[order] = np.cumsum(kind[order] == 1)
+        heads = np.cumsum(sizes[lo:hi]) - sizes[lo:hi]
+        best[lo:hi] = np.maximum.reduceat(seen[2 * m :] - seen[:m], heads)
+    return best / (d**eps2 * sizes)
 
 
 def gamma(Y: Shading, t: float) -> GammaReport:

@@ -11,7 +11,7 @@ import numpy as np
 
 from tubelab import CellSet, Line, LineFamily, Scale, Shading, tube_cells
 from tubelab.constructions import ConstructionError, _scale_of, bundle_offsets
-from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError
+from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError, tube_cell_count
 from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport
 
 
@@ -319,6 +319,34 @@ def reference_bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         (child, Shading(child, cells)) for child, cells in candidates if cells.n_cells >= floor
     ]
     return LineFamily(new_scale, tuple(entries))
+
+
+# Per-line density and two-ends constant, as they were before
+# measures.densities and measures.two_ends_constants replaced them.
+
+
+def reference_density(Y: Shading) -> float:
+    """lambda: shading mass over the mass of its full-width tube."""
+    lam = Y.cells.n_cells / tube_cell_count(Y.line, Y.cells.scale.delta, Y.cells.scale)
+    return float(lam)
+
+
+def reference_two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
+    """Least C with |Y in J| <= C delta^eps2 |Y| over delta x delta^eps1 windows J."""
+    if not (0.0 < eps2 < eps1 < 1.0):
+        raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
+    d = Y.cells.scale.delta
+    W = d**eps1
+    pos = Y.arc_positions()
+    lam = max(Y.line.length_in_square(), d)
+    cand = np.floor(pos / d) * d
+    if lam > W:
+        cand = np.minimum(cand, lam - W)
+    cand = np.unique(np.maximum(cand, 0.0))
+    hi = np.searchsorted(pos, cand + W, side="right")
+    lo = np.searchsorted(pos, cand, side="left")
+    max_count = int(np.max(hi - lo))
+    return max_count / ((d**eps2) * pos.size)
 
 
 # Per-scale non-concentration constants and the 5x5-window greedy, as they

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from tubelab import (
     CellSet,
     ConstructionError,
+    GeometryError,
+    GridError,
     LineFamily,
+    Scale,
     Shading,
     build_base,
     bundle_case2,
@@ -32,7 +35,8 @@ from tubelab.constructions import (
     inverse_rescale_case1,
     measure_remark_bullets,
 )
-from tubelab.geometry import CHART_STEEP
+from tubelab.geometry import _CHUNK_CELLS, CHART_STEEP, _check_in_tube
+from tubelab.grid import _check_codes
 
 from conftest import (
     random_family,
@@ -315,6 +319,43 @@ def test_case2_bundle_matches_reference_on_wide_shadings(rk, m, n_lines, density
         entries.append((line, Shading(line, CellSet(line.scale, tube.codes[pick]))))
     for parent in (narrow, LineFamily(narrow.scale, tuple(entries))):
         _same_outcome(parent, 2.0 ** -(rk + m), t)
+
+
+def test_batched_tube_check_raises_like_shading():
+    # the seed-405 case-2 point spans several chunks; the bad child sits in the last
+    fam = bundle_case2(build_base(2.0**-4, 1.5, 0.05, seed=405), 2.0**-7, 1.5)
+    lines = [ln for ln, _ in fam.entries]
+    cells = [sh.cells for _, sh in fam.entries]
+    assert sum(c.n_cells for c in cells) > 2 * _CHUNK_CELLS
+    _check_in_tube(lines, cells)
+    sc, n = fam.scale, fam.scale.n
+    i, j = cells[-1].ij()
+    # 6 rows up or down: over 6 delta / hypot(1, a) - delta off, past 2 delta hypot(1, a)
+    j = j.copy()
+    j[0] = j[0] + 6 if j[0] + 6 < n else j[0] - 6
+    bad = CellSet.from_ij(sc, i, j)
+    with pytest.raises(GeometryError) as single:
+        Shading(lines[-1], bad)
+    with pytest.raises(GeometryError) as batched:
+        _check_in_tube(lines, [*cells[:-1], bad])
+    assert str(batched.value) == str(single.value) == "shading cell outside the tube"
+
+
+def test_batched_code_check_raises_like_cellset():
+    sc = Scale(4)
+    first = CellSet.from_ij(sc, [1, 2, 3], [0, 0, 1]).codes
+    second = CellSet.from_ij(sc, [0, 5], [0, 2]).codes
+    runs = np.array([True, True, False, True])  # no order between the two children
+    _check_codes(np.concatenate([first, second]), sc.n, runs)
+    for child in (second[::-1], np.array([second[0], second[0]])):  # unsorted, duplicated
+        with pytest.raises(GridError) as single:
+            CellSet(sc, child)
+        with pytest.raises(GridError) as batched:
+            _check_codes(np.concatenate([first, child]), sc.n, runs)
+        assert str(batched.value) == str(single.value) == "cell codes not sorted or duplicated"
+    outside = np.concatenate([first, second + np.uint64(sc.n)])  # column index past n - 1
+    with pytest.raises(GridError, match="out of bounds"):
+        _check_codes(outside, sc.n, runs)
 
 
 def test_case2_validates_parameters():

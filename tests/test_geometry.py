@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import (
     CellSet,
@@ -20,7 +22,14 @@ from tubelab import (
     tube_cells,
     union_shadings,
 )
-from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, segment_count, tube_cell_count
+from tubelab.geometry import (
+    _CHUNK_CELLS,
+    CHART_SHALLOW,
+    CHART_STEEP,
+    _line_chunks,
+    segment_count,
+    tube_cell_count,
+)
 
 from conftest import naive_tube_cells, random_family, random_line, random_shading
 
@@ -362,3 +371,25 @@ def test_family_rejects_duplicate_lines():
     sh = Shading(line, tube_cells(line, sc.delta))
     with pytest.raises(GeometryError):
         LineFamily(sc, ((line, sh), (line, sh)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(
+        st.one_of(
+            st.integers(1, 700),
+            st.sampled_from([_CHUNK_CELLS // 4, _CHUNK_CELLS // 2, _CHUNK_CELLS, 2 * _CHUNK_CELLS]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_line_chunks_cover_in_order_and_fill_to_the_bound(sizes):
+    sizes = np.array(sizes, dtype=np.int64)
+    ranges = list(_line_chunks(sizes))
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == sizes.size
+    for lo, hi in ranges:
+        total = int(sizes[lo:hi].sum())
+        assert hi - lo == 1 or total <= _CHUNK_CELLS
+        assert hi == sizes.size or total + sizes[hi] > _CHUNK_CELLS

@@ -4,7 +4,9 @@ The case-2 sweep runs the bundle build and gamma on many short shadings; the
 random measures pin the gamma and Katz-Tao witnesses and the cap-16 greedy
 of random_config; the base generate pins the cap-8 greedy of build_base, the
 2-D Frostman constant and the density; the case-1 generate pins the steep
-chart and tube_cells(columns=...); the grid measure pins full tubes.  The
+chart and tube_cells(columns=...); the grid measure pins full tubes; the
+bush measure pins lambda_min and two_ends_max on full tubes at t = 0.5, and
+the case-1 measure pins them on steep-chart shadings at k = 9.  The
 corollary has no CLI path, so its reports on two fixed families are pinned
 as JSON.  A change that moves these bytes must regenerate tests/golden/ and say
 which numbers moved and why.
@@ -29,6 +31,11 @@ RUNS = {
         "measure", "--kind", "random", "--delta", "2^-5", "--t", "1.5", "--seed", "11",
     ],
     "grid_measure": ["measure", "--kind", "grid", "--delta", "2^-5", "--t", "1.0"],
+    "bush_measure": ["measure", "--kind", "bush", "--delta", "2^-6", "--t", "0.5"],
+    "case1_measure": [
+        "measure", "--kind", "case1", "--r", "2^-4", "--delta", "2^-9", "--t", "1.5",
+        "--s", "0.5", "--seed", "5",
+    ],
     "base_generate": [
         "generate", "--kind", "base", "--r", "2^-4", "--t", "1.9", "--s", "0.5", "--seed", "7",
     ],

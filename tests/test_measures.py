@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubelab import (
@@ -11,6 +11,7 @@ from tubelab import (
     LineFamily,
     Scale,
     Shading,
+    densities,
     density,
     frostman_constant,
     gamma,
@@ -18,7 +19,9 @@ from tubelab import (
     katz_tao_constant,
     tube_cells,
     two_ends_constant,
+    two_ends_constants,
 )
+from tubelab.geometry import _CHUNK_CELLS
 from tubelab.grid import coarsen
 from tubelab.measures import MeasureError, TripledCaps, frostman_constant_1d, gamma_value_at
 
@@ -28,11 +31,13 @@ from conftest import (
     random_line,
     random_shading,
     reference_capped_accept,
+    reference_density,
     reference_frostman_constant,
     reference_frostman_constant_1d,
     reference_gamma,
     reference_katz_tao_constant,
     reference_katz_tao_levels,
+    reference_two_ends_constant,
 )
 
 
@@ -308,6 +313,147 @@ def test_two_ends_validates_exponents():
     sh = _horizontal_shading(6, np.arange(5))
     with pytest.raises(MeasureError):
         two_ends_constant(sh, 0.2, 0.5)
+
+
+# -- family-wide density and two-ends ---------------------------------------------
+# densities and two_ends_constants work on chunks of about _CHUNK_CELLS cells
+# (line x column entries for density); the lists below run up to three chunks.
+
+
+def _corner_line(rng: np.random.Generator, sc: Scale, chart: str) -> Line:
+    """A line that clips a corner of the square, often shorter than delta."""
+    n = sc.n
+    a_q, b_q = int(rng.integers(1, n + 1)), n - int(rng.integers(0, 3))
+    if rng.random() < 0.5:
+        a_q, b_q = -a_q, n - b_q
+    return Line(sc, chart, a_q, b_q)
+
+
+def _tube_shading(rng: np.random.Generator, line: Line, mode: str) -> Shading:
+    sc = line.scale
+    tube = tube_cells(line, (2.0 if mode == "wide" else 1.0) * sc.delta)
+    if mode == "full":
+        return Shading(line, tube)
+    count = {"single": 1, "few": int(rng.integers(2, 4))}.get(
+        mode, max(1, round(rng.uniform(0.05, 1.0) * tube.n_cells))
+    )
+    pick = np.sort(rng.choice(tube.n_cells, size=min(count, tube.n_cells), replace=False))
+    return Shading(line, CellSet(sc, tube.codes[pick]))
+
+
+def _line_shading(rng, sc, chart, mode, corner) -> Shading:
+    chart = chart or str(rng.choice(["s", "t"]))
+    use_corner = corner and rng.random() < 0.5
+    line = _corner_line(rng, sc, chart) if use_corner else random_line(rng, sc, chart=chart)
+    return _tube_shading(rng, line, mode)
+
+
+def _shading_list(seed, k, chart, mode, corner, size, chunks):
+    """Up to 8 random shadings and a list of indices into them, drawn with
+    repetition until the sizes add up to chunks * _CHUNK_CELLS."""
+    rng = np.random.default_rng(seed)
+    pool = [_line_shading(rng, Scale(k), chart, mode, corner) for _ in range(8)]
+    idx, total = [], 0
+    while not idx or total < chunks * _CHUNK_CELLS:
+        idx.append(int(rng.integers(len(pool))))
+        total += size(pool[idx[-1]])
+    return pool, idx
+
+
+_MODES = st.sampled_from(["single", "few", "random", "full", "wide"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from(["s", "t", None]),
+    mode=_MODES,
+    corner=st.booleans(),
+    chunks=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_densities_match_reference(k, chart, mode, corner, chunks, seed):
+    pool, idx = _shading_list(seed, k, chart, mode, corner, lambda sh: sh.cells.scale.n, chunks)
+    want = np.array([reference_density(sh) for sh in pool])
+    assert np.array_equal(densities([pool[i] for i in idx]), want[idx])
+    assert density(pool[idx[0]]) == want[idx[0]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from(["s", "t", None]),
+    mode=_MODES,
+    corner=st.booleans(),
+    chunks=st.floats(0.0, 3.0),
+    eps1=st.one_of(st.sampled_from([0.1, 0.5]), st.floats(0.02, 0.98)),
+    frac=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_ends_constants_match_reference(k, chart, mode, corner, chunks, eps1, frac, seed):
+    # small eps1 makes W = delta^eps1 longer than most lines (lam <= W)
+    pool, idx = _shading_list(seed, k, chart, mode, corner, lambda sh: sh.cells.n_cells, chunks)
+    eps2 = eps1 * frac
+    want = np.array([reference_two_ends_constant(sh, eps1, eps2) for sh in pool])
+    assert np.array_equal(two_ends_constants([pool[i] for i in idx], eps1, eps2), want[idx])
+    assert two_ends_constant(pool[idx[0]], eps1, eps2) == want[idx[0]]
+
+
+def _exact_eps(d: float, W: float) -> float | None:
+    """An exponent e with d**e == W exactly, if the nearby floats hold one."""
+    e = math.log(W) / math.log(d)
+    for _ in range(64):
+        v = d**e
+        if v == W:
+            return e
+        e = math.nextafter(e, math.inf if v > W else -math.inf)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from(["s", "t"]),
+    mode=st.sampled_from(["few", "random", "wide"]),
+    corner=st.booleans(),
+    edge=st.sampled_from(["start", "end", "length"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_ends_constants_match_reference_on_ties(k, chart, mode, corner, edge, seed):
+    # W = delta^eps1 chosen so that a window start or end lands exactly on a
+    # cell position (searchsorted counts positions on both ends), or so that
+    # W equals the line length (the last window is clamped only when lam > W)
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    d = sc.delta
+    sh = _line_shading(rng, sc, chart, mode, corner)
+    pos = sh.arc_positions()
+    lam = max(sh.line.length_in_square(), d)
+    p = float(pos[rng.integers(pos.size)])
+    if edge == "end":
+        start = max(math.floor(float(pos[rng.integers(pos.size)]) / d) * d, 0.0)
+        W = p - start
+        assume(start + W == p and (lam <= W or start <= lam - W))
+    elif edge == "start":
+        W = lam - p
+        assume(lam - W == p)
+    else:
+        W = lam
+    assume(d < W < 1.0)
+    eps1 = _exact_eps(d, W)
+    assume(eps1 is not None and 0.0 < eps1 < 1.0)
+    got = two_ends_constants([sh], eps1, eps1 / 2)[0]
+    assert got == reference_two_ends_constant(sh, eps1, eps1 / 2)
+
+
+def test_family_kernels_reject_mixed_or_no_scales():
+    a = _horizontal_shading(6, np.arange(5))
+    b = _horizontal_shading(7, np.arange(5))
+    for kernel in (densities, lambda shs: two_ends_constants(shs, 0.5, 0.2)):
+        with pytest.raises(MeasureError):
+            kernel([a, b])
+        with pytest.raises(MeasureError):
+            kernel([])
 
 
 # -- gamma -------------------------------------------------------------------------
