@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _ancestor_codes, _check_codes, _encode, _run_offsets
+from .grid import CellSet, Scale, _ancestor_codes, _check_codes, _encode, _member, _run_offsets
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
@@ -317,9 +317,7 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         ci = np.repeat(np.tile(child_cols, len(keys)), lens)
         codes = _encode(ci, np.repeat(lo, lens) + _run_offsets(lens))
         pcode = _ancestor_codes(codes, shift)
-        parent_codes = sh.cells.codes
-        pos = np.minimum(np.searchsorted(parent_codes, pcode), parent_codes.size - 1)
-        inside = parent_codes[pos] == pcode
+        inside = _member(sh.cells.codes, pcode)[0]
         codes, child = codes[inside], child[inside]
         order = np.lexsort((codes, child))
         codes, child = codes[order], child[order]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _decode, _run_offsets, union_codes
+from .grid import CellSet, Scale, _decode, _run_offsets, _sorted_counts, union_codes
 
 __all__ = [
     "GeometryError",
@@ -260,7 +260,8 @@ class Shading:
 
     @staticmethod
     def _from_checked(line: Line, cells: CellSet) -> "Shading":
-        # Fast path: caller has run _check_in_tube on (line, cells), cells nonempty.
+        # Fast path: cells is nonempty, and the caller has run _check_in_tube on
+        # (line, cells) or took cells from a checked shading on the same line.
         obj = object.__new__(Shading)
         object.__setattr__(obj, "line", line)
         object.__setattr__(obj, "cells", cells)
@@ -330,32 +331,10 @@ class LineFamily:
         """(n, 2) array of chart-local dual coordinates (a, b)."""
         return np.array([[ln.a, ln.b] for ln, _ in self.entries], dtype=np.float64)
 
-    def multiplicity_counts(self, chunk: int = 1 << 21) -> tuple[np.ndarray, np.ndarray]:
+    def multiplicity_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of how many shadings cover each cell of E_L."""
-        acc_codes = np.empty(0, dtype=np.uint64)
-        acc_counts = np.empty(0, dtype=np.int64)
-        buf: list[np.ndarray] = []
-        size = 0
-
-        def flush() -> None:
-            nonlocal acc_codes, acc_counts, buf, size
-            if not buf:
-                return
-            u, c = np.unique(np.concatenate(buf), return_counts=True)
-            merged = np.union1d(acc_codes, u)
-            counts = np.zeros(merged.size, dtype=np.int64)
-            counts[np.searchsorted(merged, acc_codes)] += acc_counts
-            counts[np.searchsorted(merged, u)] += c
-            acc_codes, acc_counts = merged, counts
-            buf, size = [], 0
-
-        for _, sh in self.entries:
-            buf.append(sh.cells.codes)
-            size += sh.cells.codes.size
-            if size >= chunk:
-                flush()
-        flush()
-        return acc_codes, acc_counts
+        codes = [sh.cells.codes for _, sh in self.entries]
+        return _sorted_counts(np.concatenate(codes) if codes else np.empty(0, dtype=np.uint64))
 
     # -- wire format --------------------------------------------------------
 
@@ -433,15 +412,23 @@ def multiplicity(F: LineFamily, x: tuple[int, int]) -> list[int]:
     return out
 
 
+def _greedy_windows(pos: np.ndarray, r: float) -> list[int]:
+    """Start indices of the greedy left-to-right cover of the sorted positions
+    by closed windows [pos[i], pos[i] + r]: each window starts at the first
+    position past the previous one, so window w holds pos[starts[w]:starts[w+1]].
+    The hop table is one searchsorted; walking it is a list lookup per window."""
+    hop = np.searchsorted(pos, pos + r, side="right").tolist()
+    starts = []
+    idx = 0
+    while idx < pos.size:
+        starts.append(idx)
+        idx = hop[idx]
+    return starts
+
+
 def segment_count(positions: np.ndarray, r: float) -> int:
     """Greedy left-to-right count of length-r windows covering the positions."""
-    n = positions.size
-    count = 0
-    idx = 0
-    while idx < n:
-        count += 1
-        idx = int(np.searchsorted(positions, positions[idx] + r, side="right"))
-    return count
+    return len(_greedy_windows(positions, r))
 
 
 def segment_cover(Y: Shading, r: float) -> list[TubeSegment]:
@@ -456,13 +443,10 @@ def segment_cover(Y: Shading, r: float) -> list[TubeSegment]:
     pos = Y.arc_positions()
     lam = max(Y.line.length_in_square(), d)
     segments: list[TubeSegment] = []
-    idx = 0
-    while idx < pos.size:
-        start = pos[idx]
+    for start in pos[_greedy_windows(pos, r)].tolist():
         seg_start = min(max(start, 0.0), max(lam - r, 0.0))
         t0 = min(max((seg_start + r / 2.0) / lam, 0.0), 1.0)
         segments.append(TubeSegment(Y.line, t0, min(r, 1.0), d))
-        idx = int(np.searchsorted(pos, start + r, side="right"))
     return segments
 
 

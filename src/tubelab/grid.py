@@ -159,6 +159,25 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_counts=True) by one sort and run lengths."""
+    out = np.sort(values, axis=None)
+    new_run = np.empty(out.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(out[1:], out[:-1], out=new_run[1:])
+    heads = np.flatnonzero(new_run)
+    return out[heads], np.diff(np.append(heads, out.size))
+
+
+def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which queries occur in the sorted, duplicate-free sorted_codes, and the
+    index of each query's match (clamped into range where it has none)."""
+    pos = np.minimum(np.searchsorted(sorted_codes, queries), max(sorted_codes.size - 1, 0))
+    if sorted_codes.size == 0:
+        return np.zeros(np.shape(queries), dtype=bool), pos
+    return sorted_codes[pos] == queries, pos
+
+
 def _check_codes(codes: np.ndarray, n: int, runs: np.ndarray | None = None) -> None:
     """CellSet's invariants on n x n grid codes: every cell in bounds, and
     codes strictly increasing between neighbours where runs is True (all of
@@ -253,8 +272,7 @@ class CellSet:
             yield (a, b)
 
     def contains_code(self, code: int) -> bool:
-        pos = np.searchsorted(self.codes, np.uint64(code))
-        return pos < self.codes.size and self.codes[pos] == np.uint64(code)
+        return bool(_member(self.codes, np.uint64(code))[0])
 
     def contains_cell(self, i: int, j: int) -> bool:
         return self.contains_code(int(_encode(np.int64(i), np.int64(j))))
@@ -273,9 +291,8 @@ class CellSet:
 
     def intersection(self, other: "CellSet") -> "CellSet":
         self._check_same_scale(other)
-        return CellSet._from_sorted_codes(
-            self.scale, np.intersect1d(self.codes, other.codes, assume_unique=True)
-        )
+        small, big = sorted((self.codes, other.codes), key=len)
+        return CellSet._from_sorted_codes(self.scale, small[_member(big, small)[0]])
 
     def difference(self, other: "CellSet") -> "CellSet":
         self._check_same_scale(other)
@@ -287,11 +304,7 @@ class CellSet:
         self._check_same_scale(other)
         if self.codes.size > other.codes.size:
             return False
-        pos = np.searchsorted(other.codes, self.codes)
-        pos = np.minimum(pos, other.codes.size - 1) if other.codes.size else pos
-        if other.codes.size == 0:
-            return self.codes.size == 0
-        return bool(np.all(other.codes[pos] == self.codes))
+        return bool(np.all(_member(other.codes, self.codes)[0]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellSet):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale
+from .grid import CellSet, Scale, _member, _sorted_counts
 from .geometry import LineFamily, Shading, _cell_arcs_and_offsets, _line_chunks, _row_spans
 
 __all__ = [
@@ -148,13 +148,12 @@ def _tripled_max(
     for r, denom in levels:
         iq = np.floor(pts[:, 0] / r).astype(np.int64)
         jq = np.floor(pts[:, 1] / r).astype(np.int64)
-        uniq, counts = np.unique(iq * big + jq, return_counts=True)  # indices stay far below 2^31
+        uniq, counts = _sorted_counts(iq * big + jq)  # indices stay far below 2^31
         sums = np.zeros(uniq.size, dtype=np.int64)
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
-                nb = uniq + di * big + dj
-                pos = np.minimum(np.searchsorted(uniq, nb), uniq.size - 1)
-                sums += np.where(uniq[pos] == nb, counts[pos], 0)
+                hit, pos = _member(uniq, uniq + di * big + dj)
+                sums += np.where(hit, counts[pos], 0)
         idx = int(np.argmax(sums))
         ratio = sums[idx] / denom
         if ratio > best:

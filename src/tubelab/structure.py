@@ -21,11 +21,13 @@ from .grid import (
     Scale,
     ScaleLadder,
     _ancestor_codes,
+    _member,
+    _sorted_counts,
     _sorted_unique,
     coarsen,
     covering_count,
 )
-from .geometry import Line, LineFamily, Shading, segment_count
+from .geometry import Line, LineFamily, Shading, _greedy_windows, segment_count
 from .measures import TripledCaps, frostman_constant_1d, katz_tao_constant
 
 __all__ = [
@@ -117,8 +119,7 @@ class RefinementTrace:
 def _child_counts(codes: np.ndarray, k: int, ladder: ScaleLadder, j: int):
     """Per-parent occupied-child counts at ladder level j (parents at j-1)."""
     child = _sorted_unique(_ancestor_codes(codes, k - ladder.m * j))
-    par, counts = np.unique(_ancestor_codes(child, ladder.m), return_counts=True)
-    return par, counts
+    return _sorted_counts(_ancestor_codes(child, ladder.m))
 
 
 def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, RefinementTrace]:
@@ -143,15 +144,15 @@ def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, Refinem
         classes = np.floor(np.log2(counts)).astype(np.int64)
         cell_parents = _ancestor_codes(codes, k - ladder.m * (j - 1))
         cls_of_cell = classes[np.searchsorted(par, cell_parents)]
-        occupied = np.unique(classes)
         mass = np.bincount(cls_of_cell, minlength=int(classes.max()) + 1)
+        occupied = np.count_nonzero(mass)  # every parent holds a cell
         best = int(np.argmax(mass))
         keep = cls_of_cell == best
         frac = float(np.count_nonzero(keep)) / codes.size
         trace.add(
-            f"level {j}: {occupied.size} dyadic classes, kept class 2^{best}",
+            f"level {j}: {occupied} dyadic classes, kept class 2^{best}",
             frac,
-            1.0 / (2.0 * occupied.size),
+            1.0 / (2.0 * occupied),
         )
         codes = codes[keep]
     out = CellSet(E.scale, codes)
@@ -242,7 +243,7 @@ def shading_window_counts(Y: Shading, ladder: ScaleLadder) -> np.ndarray:
     pos = Y.arc_positions()
     out = np.empty(ladder.N + 1, dtype=np.int64)
     for j in range(ladder.N + 1):
-        out[j] = np.unique(np.floor(pos / ladder.rho(j)).astype(np.int64)).size
+        out[j] = _sorted_unique(np.floor(pos / ladder.rho(j)).astype(np.int64)).size
     return out
 
 
@@ -435,10 +436,10 @@ def _shading_uniformity_error(pos: np.ndarray, d: float, k: int) -> float:
     """Worst per-level max/min ratio of occupied fine windows per coarse window
     on a 4-adic arclength ladder (binary steps cannot exceed ratio 2, so they
     would make the check vacuous)."""
-    idx = np.unique(np.floor(pos / d).astype(np.int64))
+    idx = _sorted_unique(np.floor(pos / d).astype(np.int64))
     worst = 1.0
     for _ in range(k // 2):
-        parents, counts = np.unique(idx >> 2, return_counts=True)
+        parents, counts = _sorted_counts(idx >> 2)
         worst = max(worst, float(counts.max()) / float(counts.min()))
         idx = parents
     return worst
@@ -509,7 +510,7 @@ def rich_point_refine(
         best = int(np.argmax(weights))
         total = float(counts.sum())
         kept_mass = float(weights[best])
-        occ = np.unique(classes).size
+        occ = np.count_nonzero(weights)  # every count is at least 1
         trace.add(
             f"pass {pass_no}: multiplicity class 2^{best} of {occ}",
             kept_mass / total,
@@ -518,11 +519,18 @@ def rich_point_refine(
         mu = 1 << best
         rich = codes[classes == best]
         e_mu = CellSet(fam.scale, rich)
-        entries = []
-        for line, sh in fam.entries:
-            inter = sh.cells.intersection(e_mu)
-            if not inter.is_empty():
-                entries.append((line, Shading(line, inter)))
+        # Every shading restricted to E_mu at once: one membership test over
+        # the family's codes laid end to end, split back per line.  A subset
+        # of a checked shading on the same line stays sorted and in the tube.
+        flat = np.concatenate([sh.cells.codes for _, sh in fam.entries])
+        inside = _member(rich, flat)[0]
+        ends = np.cumsum([sh.cells.n_cells for _, sh in fam.entries])
+        parts = np.split(flat[inside], np.cumsum(inside)[ends[:-1] - 1])
+        entries = [
+            (line, Shading._from_checked(line, CellSet._from_sorted_codes(fam.scale, part)))
+            for (line, _), part in zip(fam.entries, parts)
+            if part.size
+        ]
         if not entries:
             raise StructureError("refinement emptied the family")
         fam = LineFamily(fam.scale, tuple(entries))
@@ -638,7 +646,7 @@ class ShadingMultiscaleResult:
 
 
 def _aligned_counts(pos: np.ndarray, width: float) -> int:
-    return int(np.unique(np.floor(pos / width).astype(np.int64)).size)
+    return int(_sorted_unique(np.floor(pos / width).astype(np.int64)).size)
 
 
 def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscaleResult:
@@ -676,7 +684,7 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
             good = True
             for _, sh in F.entries:
                 pos = sh.arc_positions()
-                win = np.unique(np.floor(pos / r0).astype(np.int64)) * r0 + r0 / 2.0
+                win = _sorted_unique(np.floor(pos / r0).astype(np.int64)) * r0 + r0 / 2.0
                 lo = np.searchsorted(win, pos - cand, side="left")
                 hi = np.searchsorted(win, pos + cand, side="right")
                 if np.min(hi - lo) < (cand / r0) ** t - 1e-9:
@@ -746,18 +754,14 @@ def verify_shading_multiscale(
             return False, f"(a) coarse gamma {g_coarse:.3g} > 64 * {g_fine:.3g}"
         pos = sh.arc_positions()
         n_d = _aligned_counts(pos, d)
-        n_r = segment_count(pos, r)
-        if math.log(max(n_d, 1) / max(n_r, 1)) > (res.s + 9.0 * eta) * math.log(r / d) + 1e-9:
+        starts = _greedy_windows(pos, r)
+        if math.log(max(n_d, 1) / max(len(starts), 1)) > (res.s + 9.0 * eta) * math.log(r / d) + 1e-9:
             return False, "(b) covering ratio exceeds (s + 9 eta) log(r/delta)"
-        idx = 0
-        while idx < pos.size:
-            start = pos[idx]
-            stop = int(np.searchsorted(pos, start + r, side="right"))
-            q = (pos[idx:stop] - start) / r
+        for lo, hi in zip(starts, starts[1:] + [pos.size]):
+            q = (pos[lo:hi] - pos[lo]) / r
             rep = frostman_constant_1d(q, d / r, res.s)
             if rep.constant > slack + 1e-9:
                 return False, f"(b) dilated segment constant {rep.constant:.3g} > {slack:.3g}"
-            idx = stop
     return True, None
 
 

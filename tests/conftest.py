@@ -77,9 +77,13 @@ def check_rich_point_postconditions(fam: LineFamily) -> None:
     total_out = 0
     for ln, sh in out.entries:
         orig = by_key[(ln.chart, ln.a_q, ln.b_q)]
-        assert sh.cells.issubset(orig.cells)  # (1) Y' inside Y
-        assert sh.cells == orig.cells.intersection(e_mu)  # (3) Y' = E_mu with Y
+        assert np.isin(sh.cells.codes, orig.cells.codes).all()  # (1) Y' inside Y
+        # (3) Y' = E_mu with Y
+        assert np.array_equal(sh.cells.codes, np.intersect1d(orig.cells.codes, e_mu.codes))
         total_out += sh.cells.n_cells
+    # every line that meets E_mu is kept, in the input order
+    meets = [ln for ln, sh in fam.entries if np.intersect1d(sh.cells.codes, e_mu.codes).size]
+    assert [ln for ln, _ in out.entries] == meets
     _, counts = out.multiplicity_counts()
     assert counts.min() >= mu and counts.max() < 2 * mu  # (2) multiplicity window
     assert mu >= total_out / (e_mu.n_cells * lsq)  # (4) mu vs incidence density
@@ -531,3 +535,106 @@ def reference_random_duals(
         if _reference_window_accept(levels, grids, a_q * delta, b_q * delta):
             chosen.append((a_q, b_q))
     return chosen
+
+
+# LineFamily.multiplicity_counts, segment_count, segment_cover and the
+# per-line restriction of rich_point_refine, as they were before
+# grid._sorted_counts, geometry._greedy_windows and the family-wide
+# restriction replaced them.  The restriction intersects with np.intersect1d
+# directly, so it shares no membership code with CellSet.
+
+
+def reference_multiplicity_counts(F: LineFamily, chunk: int = 1 << 21) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, counts) of how many shadings cover each cell of E_L."""
+    acc_codes = np.empty(0, dtype=np.uint64)
+    acc_counts = np.empty(0, dtype=np.int64)
+    buf: list[np.ndarray] = []
+    size = 0
+
+    def flush() -> None:
+        nonlocal acc_codes, acc_counts, buf, size
+        if not buf:
+            return
+        u, c = np.unique(np.concatenate(buf), return_counts=True)
+        merged = np.union1d(acc_codes, u)
+        counts = np.zeros(merged.size, dtype=np.int64)
+        counts[np.searchsorted(merged, acc_codes)] += acc_counts
+        counts[np.searchsorted(merged, u)] += c
+        acc_codes, acc_counts = merged, counts
+        buf, size = [], 0
+
+    for _, sh in F.entries:
+        buf.append(sh.cells.codes)
+        size += sh.cells.codes.size
+        if size >= chunk:
+            flush()
+    flush()
+    return acc_codes, acc_counts
+
+
+def reference_segment_count(positions: np.ndarray, r: float) -> int:
+    """Greedy left-to-right count of length-r windows covering the positions."""
+    n = positions.size
+    count = 0
+    idx = 0
+    while idx < n:
+        count += 1
+        idx = int(np.searchsorted(positions, positions[idx] + r, side="right"))
+    return count
+
+
+def reference_segment_cover(Y: Shading, r: float) -> list[tuple[float, float, float]]:
+    """(t0, r, width) of each segment of the greedy cover, left to right."""
+    d = Y.cells.scale.delta
+    pos = Y.arc_positions()
+    lam = max(Y.line.length_in_square(), d)
+    segments = []
+    idx = 0
+    while idx < pos.size:
+        start = pos[idx]
+        seg_start = min(max(start, 0.0), max(lam - r, 0.0))
+        t0 = min(max((seg_start + r / 2.0) / lam, 0.0), 1.0)
+        segments.append((t0, min(r, 1.0), d))
+        idx = int(np.searchsorted(pos, start + r, side="right"))
+    return segments
+
+
+def reference_rich_point_refine(F: LineFamily):
+    """rich_point_refine with the chunked multiplicity merge and one
+    intersection plus Shading(...) per line."""
+    from tubelab.structure import RefinementTrace, StructureError
+
+    if len(F) == 0:
+        raise StructureError("empty family")
+    trace = RefinementTrace()
+    fam = F
+    e_mu: CellSet | None = None
+    mu = 1
+    for pass_no in (1, 2):
+        codes, counts = reference_multiplicity_counts(fam)
+        classes = np.floor(np.log2(counts)).astype(np.int64)
+        weights = np.bincount(classes, weights=counts.astype(np.float64))
+        best = int(np.argmax(weights))
+        total = float(counts.sum())
+        kept_mass = float(weights[best])
+        occ = np.unique(classes).size
+        trace.add(
+            f"pass {pass_no}: multiplicity class 2^{best} of {occ}",
+            kept_mass / total,
+            1.0 / occ,
+        )
+        mu = 1 << best
+        rich = codes[classes == best]
+        e_mu = CellSet(fam.scale, rich)
+        entries = []
+        for line, sh in fam.entries:
+            inter = CellSet(fam.scale, np.intersect1d(sh.cells.codes, e_mu.codes, assume_unique=True))
+            if not inter.is_empty():
+                entries.append((line, Shading(line, inter)))
+        if not entries:
+            raise StructureError("refinement emptied the family")
+        fam = LineFamily(fam.scale, tuple(entries))
+        if pass_no == 2 and occ != 1:
+            raise StructureError("rich-point refinement did not stabilize")
+    assert e_mu is not None
+    return fam, e_mu, mu, trace

@@ -33,7 +33,7 @@ PARAMS = {
         "LineFamily.to_json_obj": "self",
         "LineFamily.from_json_obj": "obj",
         "LineFamily.dual_points": "self",
-        "LineFamily.multiplicity_counts": "self, chunk",
+        "LineFamily.multiplicity_counts": "self",
         "tube_cells": "line, w, cell_scale, columns",
         "tube_cell_count": "line, w, cell_scale",
         "union_shadings": "F",

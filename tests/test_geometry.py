@@ -31,7 +31,15 @@ from tubelab.geometry import (
     tube_cell_count,
 )
 
-from conftest import naive_tube_cells, random_family, random_line, random_shading
+from conftest import (
+    naive_tube_cells,
+    random_family,
+    random_line,
+    random_shading,
+    reference_multiplicity_counts,
+    reference_segment_count,
+    reference_segment_cover,
+)
 
 
 def _on_line(line: Line, x_q: int, y_q: int) -> bool:
@@ -298,6 +306,69 @@ def test_segment_cover_covers_positions():
             starts.append(pos[idx])
             idx = int(np.searchsorted(pos, pos[idx] + r, side="right"))
         assert all(any(s0 <= p <= s0 + r for s0 in starts) for p in pos)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    steps=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+    h_exp=st.integers(0, 12),
+    mode=st.sampled_from(["lattice", "span", "float"]),
+    m=st.integers(0, 12),
+    x=st.floats(0.0, 3.0),
+)
+def test_segment_count_matches_reference(steps, h_exp, mode, m, x):
+    # Positions on a dyadic lattice (zero steps repeat a position): with r a
+    # multiple of the step, window ends land exactly on later positions.
+    h = 2.0**-h_exp
+    pos = np.cumsum(np.array(steps, dtype=np.float64)) * h + x
+    if mode == "lattice":
+        r = m * h
+    elif mode == "span":  # r at least the whole span: one window
+        r = pos[-1] - pos[0] + m * h
+    else:
+        r = x * h + 1e-9
+    assert segment_count(pos, r) == reference_segment_count(pos, r)
+    if mode == "span":
+        assert segment_count(pos, r) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from([CHART_SHALLOW, CHART_STEEP]),
+    flat=st.booleans(),
+    density=st.floats(0.0, 1.0),
+    r_mode=st.sampled_from(["cells", "float", "one"]),
+    m=st.integers(1, 40),
+    u=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_segment_cover_matches_reference(k, chart, flat, density, r_mode, m, u, seed):
+    # flat lines have arc positions on the cell lattice, so windows of a whole
+    # number of cells end exactly on later positions
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    line = Line(sc, chart, 0, sc.n // 2) if flat else random_line(rng, sc, chart)
+    sh = random_shading(rng, line, density)
+    d = sc.delta
+    r = {"cells": min(m * d, 1.0), "float": d + u * (1.0 - d), "one": 1.0}[r_mode]
+    got = [(seg.t0, seg.r, seg.width) for seg in segment_cover(sh, r)]
+    assert got == reference_segment_cover(sh, r)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 7),
+    n_lines=st.integers(1, 24),
+    density=st.floats(0.0, 1.0),
+    chunk=st.sampled_from([1, 5, 64, 1 << 21]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_multiplicity_counts_matches_reference(k, n_lines, density, chunk, seed):
+    fam = random_family(np.random.default_rng(seed), k, min(n_lines, 2 ** (k - 1)), density)
+    got, want = fam.multiplicity_counts(), reference_multiplicity_counts(fam, chunk)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # -- L[T] -----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubelab import CellSet, GridError, Scale, ScaleLadder, coarsen, covering_count, is_refinement
-from tubelab.grid import refine, union_codes
+from tubelab.grid import _member, _sorted_counts, refine, union_codes
 
 from conftest import minimal_ball_cover, naive_covering_count, random_cellset
 
@@ -249,3 +249,60 @@ def test_refine_preserves_mass():
     R = refine(E, Scale(7))
     assert math.isclose(R.mass, E.mass)
     assert coarsen(R, E.scale.delta) == E
+
+
+# -- sorted run counts and membership -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.empty(0, dtype=np.uint64),
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.uint64),
+        np.array([-3], dtype=np.int64),
+        np.array([2**64 - 1, 0, 2**64 - 1, 2**63], dtype=np.uint64),
+        np.array([5, -(2**63), 5, 2**63 - 1, 0], dtype=np.int64),
+    ],
+)
+def test_sorted_counts_matches_np_unique_on_edge_cases(values):
+    got, want = _sorted_counts(values), np.unique(values, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(0, 2**64 - 1), max_size=60).map(lambda v: np.array(v, dtype=np.uint64)),
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60).map(
+            lambda v: np.array(v, dtype=np.int64)
+        ),
+        st.lists(st.integers(0, 4), max_size=60).map(lambda v: np.array(v, dtype=np.uint64)),
+    )
+)
+def test_sorted_counts_matches_np_unique(values):
+    got, want = _sorted_counts(values), np.unique(values, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+_CELLS = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_CELLS, b=_CELLS, nested=st.booleans())
+def test_membership_matches_numpy(a, b, nested):
+    sc = Scale(4)
+    A = CellSet.from_cells(sc, a)
+    B = CellSet.from_cells(sc, a + b if nested else b)  # nested: A inside B
+    inter = np.intersect1d(A.codes, B.codes)
+    assert np.array_equal(A.intersection(B).codes, inter)
+    assert np.array_equal(B.intersection(A).codes, inter)
+    assert A.issubset(B) == bool(np.isin(A.codes, B.codes).all())
+    assert B.issubset(A) == bool(np.isin(B.codes, A.codes).all())
+    hit, pos = _member(B.codes, A.codes)
+    assert np.array_equal(hit, np.isin(A.codes, B.codes))
+    assert np.array_equal(B.codes[pos[hit]], A.codes[hit])
+    for i, j in a + b:
+        assert A.contains_cell(i, j) == ((i, j) in set(a))

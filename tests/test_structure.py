@@ -15,6 +15,7 @@ from tubelab import (
     Shading,
     branching,
     broad_narrow,
+    coarsen,
     common_branching,
     dyadic_pigeonhole,
     is_uniform,
@@ -33,17 +34,20 @@ from tubelab.measures import gamma, katz_tao_constant
 from tubelab.structure import (
     DecompositionError,
     MultiscalePartition,
+    ShadingMultiscaleResult,
     StructureError,
     uniformity_error,
     verify_shading_multiscale,
 )
 
 from conftest import (
+    check_rich_point_postconditions,
     random_cellset,
     random_family,
     random_line,
     random_shading,
     reference_capped_accept,
+    reference_rich_point_refine,
     reference_subsample_levels,
 )
 
@@ -370,8 +374,6 @@ def test_rich_point_single_line():
 
 
 def test_rich_point_bush_and_random():
-    from conftest import check_rich_point_postconditions
-
     rng = np.random.default_rng(38)
     for n_lines in (4, 8, 16):
         fam = random_family(rng, 6, n_lines, density=float(rng.uniform(0.2, 0.9)))
@@ -391,8 +393,67 @@ def test_rich_point_two_pencils_keeps_heavier_class():
     fam = LineFamily(sc, tuple(entries))
     out, e_mu, mu, _ = rich_point_refine(fam)
     assert mu >= 1
-    from conftest import check_rich_point_postconditions
+    check_rich_point_postconditions(fam)
 
+
+def _pencil_family(rng, k: int, n_random: int, n_pencil: int, reach: int, n_strays: int, density):
+    """Random lines, a pencil through the center shaded within `reach`
+    columns of it, and steep strays of one or two cells near the left edge:
+    when a multiplicity class above 1 wins, the strays miss E_mu."""
+    sc = Scale(k)
+    n = sc.n
+    entries = list(random_family(rng, k, n_random, density).entries) if n_random else []
+    seen = {(ln.chart, ln.a_q, ln.b_q) for ln, _ in entries}
+    for a_q in rng.choice(np.arange(-n // 2, n // 2 + 1, 2), size=n_pencil, replace=False):
+        line = Line(sc, "s", int(a_q), n // 2 - int(a_q) // 2)
+        tube = tube_cells(line, sc.delta)
+        near = np.abs(tube.ij()[0] - n // 2) <= reach
+        if (line.chart, line.a_q, line.b_q) not in seen and near.any():
+            seen.add((line.chart, line.a_q, line.b_q))
+            entries.append((line, Shading(line, CellSet(sc, tube.codes[near]))))
+    for b_q in range(n_strays):
+        line = Line(sc, "t", 0, b_q)
+        tube = tube_cells(line, sc.delta)
+        entries.append((line, Shading(line, CellSet(sc, tube.codes[: 1 + b_q % 2]))))
+    return LineFamily(sc, tuple(entries))
+
+
+def _refinement(fam: LineFamily, refine):
+    try:
+        out, e_mu, mu, trace = refine(fam)
+    except StructureError as exc:
+        return str(exc)
+    lines = [((ln.chart, ln.a_q, ln.b_q), sh.line == ln, sh.cells.codes.tolist()) for ln, sh in out.entries]
+    return lines, e_mu.codes.tolist(), mu, trace.to_json_obj()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    k=st.integers(4, 7),
+    n_random=st.integers(0, 12),
+    n_pencil=st.integers(0, 8),
+    reach=st.integers(0, 4),
+    n_strays=st.integers(0, 3),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_rich_point_refine_matches_reference(k, n_random, n_pencil, reach, n_strays, density, seed):
+    fam = _pencil_family(np.random.default_rng(seed), k, n_random, n_pencil, reach, n_strays, density)
+    if len(fam) == 0:
+        with pytest.raises(StructureError):
+            rich_point_refine(fam)
+        return
+    got = _refinement(fam, rich_point_refine)
+    assert got == _refinement(fam, reference_rich_point_refine)
+    if not isinstance(got, str):
+        check_rich_point_postconditions(fam)
+
+
+def test_rich_point_refine_drops_lines_that_miss_the_rich_set():
+    fam = _pencil_family(np.random.default_rng(3), 6, 0, 8, 1, 3, 1.0)
+    out, e_mu, mu, _ = rich_point_refine(fam)
+    assert mu > 1 and len(out) < len(fam)
+    assert _refinement(fam, rich_point_refine) == _refinement(fam, reference_rich_point_refine)
     check_rich_point_postconditions(fam)
 
 
@@ -532,6 +593,23 @@ def test_shading_multiscale_concentrated_shallow_branch():
     # coarse shading carries order-one gamma
     for _, csh in res.family.entries:
         assert gamma(csh, 0.5).value <= 8.0
+
+
+def test_verify_shading_multiscale_checks_the_last_segment():
+    # a full first r-segment, then four clustered cells in the last one: only
+    # the last segment's dilated constant (48) exceeds the slack (6.5)
+    k = 8
+    fam = _column_family(k, [np.concatenate([np.arange(64), np.arange(200, 204)])])
+    line, sh = fam.entries[0]
+    carrier = Scale(2)
+    cl = line.requantize(carrier)
+    coarse = LineFamily(carrier, ((cl, Shading(cl, coarsen(sh.cells, carrier.delta))),))
+    part = multiscale_decompose(np.linspace(0.0, 1.0, 9), 0.05)
+    res = ShadingMultiscaleResult(0.25, 1.0, coarse, part, "steep")
+    ok, msg = verify_shading_multiscale(fam, res, 0.5, 0.05)
+    assert not ok and msg.startswith("(b) dilated segment constant 48")
+    full = _column_family(k, [np.arange(64)])
+    assert verify_shading_multiscale(full, res, 0.5, 0.05) == (True, None)
 
 
 def test_shading_multiscale_requires_common_branching():
