@@ -10,7 +10,8 @@ the case-1 measure pins them on steep-chart shadings at k = 9.  The
 corollary has no CLI path, so its reports on two fixed families are pinned
 as JSON.  The structure algorithms have no CLI path either: rich-point
 refinement, the two-ends reduction scale, greedy segment covers,
-uniformization and the shading multiscale check are pinned as JSON on fixed
+uniformization (on ladders with m = 1, 2, 3 and 4), the Katz-Tao coarse
+subsample and the shading multiscale check are pinned as JSON on fixed
 families in tests/golden/structure/.  The decompose command reads its profile
 from tests/golden/decompose/config.json.  A change that moves these bytes
 must regenerate tests/golden/ and say which numbers moved and why.
@@ -32,6 +33,7 @@ from tubelab import (
     Shading,
     bush_config,
     grid_config,
+    katz_tao_subsample,
     random_config,
     rich_point_refine,
     run_cli,
@@ -228,6 +230,83 @@ def uniformize_text() -> str:
     return _dumps(out)
 
 
+def _blobs(rng, scale: Scale, spec) -> CellSet:
+    """Union of square blobs (corner i, corner j, side, fill density)."""
+    n = scale.n
+    ii, jj = [], []
+    for i0, j0, side, fill in spec:
+        ci, cj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        pick = rng.random(side * side) < fill
+        ii.append((i0 + ci.ravel()[pick]) % n)
+        jj.append((j0 + cj.ravel()[pick]) % n)
+    return CellSet.from_ij(scale, np.concatenate(ii), np.concatenate(jj))
+
+
+def uniformize_ladders_text() -> str:
+    """Ladders with m = 1 and m = 3 on a single cell, a full grid, sparse
+    random sets, clustered sets of mixed fill and a set under one coarse cell
+    (one parent at the top levels)."""
+    rng = np.random.default_rng(17)
+    out = []
+    cases = [
+        (6, 3, [(37, 12, 1, 1.0)]),
+        (6, 1, [(0, 0, 64, 1.0)]),
+        (9, 1, "random", 0.02),
+        (9, 3, "random", 0.01),
+        (9, 3, [(0, 0, 64, 0.5), (200, 300, 16, 0.9), (400, 40, 100, 0.05)]),
+        (9, 1, [(10, 10, 40, 0.3), (300, 100, 8, 1.0), (450, 450, 30, 0.02)]),
+        (12, 3, [(3000, 1000, 64, 0.2), (100, 3900, 9, 1.0), (2000, 2000, 300, 0.004)]),
+        (12, 3, [(520, 520, 8, 0.6), (516, 530, 20, 0.1)]),
+        (10, 1, [(640, 640, 64, 0.3), (650, 690, 10, 1.0)]),
+    ]
+    for k, m, *rest in cases:
+        scale = Scale(k)
+        n = scale.n
+        if rest[0] == "random":
+            idx = np.flatnonzero(rng.random(n * n) < rest[1])
+            E = CellSet.from_ij(scale, idx // n, idx % n)
+        else:
+            E = _blobs(rng, scale, rest[0])
+        ladder = ScaleLadder(m=m, N=k // m)
+        kept, err, trace = uniformize(E, ladder)
+        out.append(
+            {
+                "input_error": uniformity_error(E, ladder),
+                "cells": kept.to_json_obj(),
+                "error": err,
+                "trace": trace.to_json_obj(),
+            }
+        )
+    return _dumps(out)
+
+
+def katz_tao_subsample_text() -> str:
+    """The greedy coarse subsample on CellSets and on raw points (off-center,
+    on rho boundaries and at negative coordinates), several rho, s in {1,
+    1.5} so that the caps 8 (r/rho)^s are not all integers."""
+    rng = np.random.default_rng(23)
+    out = []
+    for k, density in ((6, 0.03), (7, 0.02), (8, 0.01)):
+        scale = Scale(k)
+        n = scale.n
+        idx = np.flatnonzero(rng.random(n * n) < density)
+        E = CellSet.from_ij(scale, idx // n, idx % n)
+        for j in range(2, k - 1):
+            for s in (1.0, 1.5):
+                kept = katz_tao_subsample(E, 2.0**-j, s)
+                out.append({"k": k, "rho": 2.0**-j, "s": s, "cells": kept.to_json_obj()})
+    d = 2.0**-7
+    free = rng.random((300, 2))
+    on_edges = rng.integers(0, 8, size=(120, 2)) * 0.125
+    negative = rng.random((200, 2)) * 1.5 - 0.5
+    for name, pts in (("free", free), ("edges", on_edges), ("negative", negative)):
+        for j in (2, 3, 4):
+            for s in (1.0, 1.5):
+                kept = katz_tao_subsample(pts, 2.0**-j, s, delta=d)
+                out.append({"points": name, "rho": 2.0**-j, "s": s, "kept": kept.tolist()})
+    return _dumps(out)
+
+
 def _column_family(k: int, cols: np.ndarray, n_lines: int) -> LineFamily:
     scale = Scale(k)
     n = scale.n
@@ -277,6 +356,8 @@ STRUCTURE = {
     "two_ends_scale": two_ends_scale_text,
     "segment_cover": segment_cover_text,
     "uniformize": uniformize_text,
+    "uniformize_ladders": uniformize_ladders_text,
+    "katz_tao_subsample": katz_tao_subsample_text,
     "shading_multiscale": shading_multiscale_text,
 }
 
