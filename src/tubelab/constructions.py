@@ -323,15 +323,15 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         codes, child = codes[order], child[order]
         # CellSet's checks for all children of this parent at once
         _check_codes(codes, n, child[1:] == child[:-1])
-        bounds = np.cumsum(np.bincount(child, minlength=len(keys)))[:-1]
-        for (a_new, b_new), child_codes in zip(keys, np.split(codes, bounds)):
-            if child_codes.size == 0:
+        ends = np.cumsum(np.bincount(child, minlength=len(keys))).tolist()
+        for (a_new, b_new), lo, hi in zip(keys, [0, *ends], ends):
+            if hi == lo:
                 continue
             try:
                 child_line = Line(new_scale, CHART_SHALLOW, a_new, b_new)
             except GeometryError:
                 continue
-            candidates.append((child_line, CellSet._from_sorted_codes(new_scale, child_codes)))
+            candidates.append((child_line, CellSet._from_sorted_codes(new_scale, codes[lo:hi])))
     if not candidates:
         raise ConstructionError("bundling produced no children")
     floor = max(1, max(c.n_cells for _, c in candidates) // 8)

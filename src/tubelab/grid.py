@@ -147,25 +147,26 @@ def _run_offsets(lens: np.ndarray) -> np.ndarray:
     return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their left neighbour (the first
+    always does): the heads of the runs of equal values."""
+    heads = np.empty(values.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """np.unique for code arrays: sort, then drop adjacent duplicates (on
     uint64 codes a sort is far cheaper than np.unique)."""
     out = np.sort(codes, axis=None)
-    if out.size > 1:
-        keep = np.empty(out.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(out[1:], out[:-1], out=keep[1:])
-        out = out[keep]
-    return out
+    return out[_run_heads(out)]
 
 
 def _sorted_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(values, return_counts=True) by one sort and run lengths."""
     out = np.sort(values, axis=None)
-    new_run = np.empty(out.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(out[1:], out[:-1], out=new_run[1:])
-    heads = np.flatnonzero(new_run)
+    heads = np.flatnonzero(_run_heads(out))
     return out[heads], np.diff(np.append(heads, out.size))
 
 

@@ -90,46 +90,66 @@ def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
     return pts, delta
 
 
+_BIG = 1 << 32  # cell key iq * 2^32 + jq; indices stay far below 2^31
+_BLOCK = tuple(u * _BIG + w for u in (-1, 0, 1) for w in (-1, 0, 1))
+
+
+def _cell_keys(pts: np.ndarray, r: float) -> np.ndarray:
+    """Key iq * 2^32 + jq of the dyadic r-cell of every point: the same IEEE
+    division and floor as math.floor(x / r), one numpy pass per axis."""
+    iq = np.floor(pts[:, 0] / r).astype(np.int64)
+    return iq * _BIG + np.floor(pts[:, 1] / r).astype(np.int64)
+
+
 class TripledCaps:
     """Greedy acceptance under caps on every tripled cell 3Q.
 
     levels holds (r, cap) pairs.  A point is accepted when, at every level,
     each dyadic r-cell Q whose 3Q contains it still holds at most cap points
-    in 3Q with the point added; counts[l] maps Q = (i, j) to the number of
-    accepted points in 3Q.
+    in 3Q with the point added.  Per level, counts maps the key of Q to the
+    number of accepted points in 3Q, and full holds every cell of the 3x3
+    block around each Q with counts + 1 > cap: a point is rejected exactly
+    when its cell is in full at some level.  Once Q is full no point of its
+    block is accepted, so its count never moves again.  A cap below 1 makes
+    every Q full from the start (closed), so nothing is accepted.
     """
 
     def __init__(self, levels: Sequence[tuple[float, float]]) -> None:
         self.levels = list(levels)
-        self.counts: list[dict[tuple[int, int], int]] = [{} for _ in self.levels]
+        self.counts: list[dict[int, int]] = [{} for _ in self.levels]
+        self.full: list[set[int]] = [set() for _ in self.levels]
+        self.closed = any(1 > cap for _, cap in self.levels)
+
+    def _add(self, cells: Sequence[int]) -> bool:
+        """try_add for a point given by its cell key at every level."""
+        if self.closed or any(map(set.__contains__, self.full, cells)):
+            return False
+        for c, (_, cap), g, f in zip(cells, self.levels, self.counts, self.full):
+            for q in [c + o for o in _BLOCK]:
+                n = g[q] = g.get(q, 0) + 1
+                if n + 1 > cap:
+                    f.update([q + o for o in _BLOCK])
+        return True
 
     def try_add(self, x: float, y: float) -> bool:
         """Accept (x, y) if no cap is exceeded; counts change only on accept."""
-        blocks = []
-        for (r, cap), g in zip(self.levels, self.counts):
-            ci, cj = math.floor(x / r), math.floor(y / r)
-            block = [(ci + u, cj + w) for u in (-1, 0, 1) for w in (-1, 0, 1)]
-            if max(g.get(q, 0) for q in block) + 1 > cap:
-                return False
-            blocks.append(block)
-        for block, g in zip(blocks, self.counts):
-            for q in block:
-                g[q] = g.get(q, 0) + 1
-        return True
+        return self._add([math.floor(x / r) * _BIG + math.floor(y / r) for r, _ in self.levels])
 
     def keep_mask(self, pts: np.ndarray) -> np.ndarray:
         """try_add over the rows of pts in (y, x) lexicographic order; the mask
         of the accepted rows."""
+        order = np.lexsort((pts[:, 0], pts[:, 1]))
+        keys = [_cell_keys(pts[order], r).tolist() for r, _ in self.levels]
         keep = np.zeros(pts.shape[0], dtype=bool)
-        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-        for p in np.lexsort((pts[:, 0], pts[:, 1])).tolist():
-            keep[p] = self.try_add(xs[p], ys[p])
+        for p, cells in zip(order.tolist(), zip(*keys)):
+            if self._add(cells):
+                keep[p] = True
         return keep
 
 
 def _unpack(key: int) -> tuple[int, int]:
-    """Inverse of the iq * 2^32 + jq cell key of _tripled_max; jq is signed, so
-    iq is the nearest multiple, not the floor."""
+    """Inverse of the iq * 2^32 + jq key of _cell_keys; jq is signed, so iq
+    is the nearest multiple, not the floor."""
     iq = (key + (1 << 31)) >> 32
     return iq, key - (iq << 32)
 
@@ -144,16 +164,12 @@ def _tripled_max(
     (iq, jq) cell.
     """
     best, wit_r, wit_x = -1.0, levels[0][0], (0.0, 0.0)
-    big = np.int64(1 << 32)
     for r, denom in levels:
-        iq = np.floor(pts[:, 0] / r).astype(np.int64)
-        jq = np.floor(pts[:, 1] / r).astype(np.int64)
-        uniq, counts = _sorted_counts(iq * big + jq)  # indices stay far below 2^31
+        uniq, counts = _sorted_counts(_cell_keys(pts, r))
         sums = np.zeros(uniq.size, dtype=np.int64)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                hit, pos = _member(uniq, uniq + di * big + dj)
-                sums += np.where(hit, counts[pos], 0)
+        for o in _BLOCK:
+            hit, pos = _member(uniq, uniq + o)
+            sums += np.where(hit, counts[pos], 0)
         idx = int(np.argmax(sums))
         ratio = sums[idx] / denom
         if ratio > best:

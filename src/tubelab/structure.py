@@ -20,9 +20,8 @@ from .grid import (
     GridError,
     Scale,
     ScaleLadder,
-    _ancestor_codes,
     _member,
-    _sorted_counts,
+    _run_heads,
     _sorted_unique,
     coarsen,
     covering_count,
@@ -116,10 +115,40 @@ class RefinementTrace:
 # -- uniformization ------------------------------------------------------------
 
 
-def _child_counts(codes: np.ndarray, k: int, ladder: ScaleLadder, j: int):
-    """Per-parent occupied-child counts at ladder level j (parents at j-1)."""
-    child = _sorted_unique(_ancestor_codes(codes, k - ladder.m * j))
-    return _sorted_counts(_ancestor_codes(child, ladder.m))
+def _ladder_keys(x: np.ndarray, ladder: ScaleLadder, inverse: bool = False) -> np.ndarray:
+    """Quadtree keys of cell codes (codes of keys when inverse): the m-bit
+    ladder digits from coarse to fine, 2m bits per level with the j digit
+    above the i digit, 2k <= 64 bits in all (cell indices have 32 bits).
+    The level-l ancestor is the prefix key >> 2m(N - l), so in sorted keys
+    the cells of every ancestor form one run."""
+    m = ladder.m
+    digit = np.uint64((1 << m) - 1)
+    out = np.zeros_like(x)
+    for lev in range(ladder.N):
+        for code_bit, key_bit in ((m * lev, 2 * m * lev), (32 + m * lev, 2 * m * lev + m)):
+            src, dst = (key_bit, code_bit) if inverse else (code_bit, key_bit)
+            out |= ((x >> np.uint64(src)) & digit) << np.uint64(dst)
+    return out
+
+
+def _occupied_children(child: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Occupied-child count of every parent run, from the run heads of a
+    level and of the next coarser one over the same sorted keys."""
+    return np.diff(np.flatnonzero(np.append(parent[child], True)))
+
+
+def _keys_uniformity_error(keys: np.ndarray, step: int, levels: int) -> float:
+    """Worst max/min ratio of occupied-child counts over the `levels`
+    ancestor levels of sorted keys, each `step` bits above the last (numpy
+    shifts unsigned keys by 64 bits or more to 0, the one root)."""
+    worst = 1.0
+    child = _run_heads(keys)
+    for shift in range(step, step * levels + 1, step):
+        parent = _run_heads(keys >> shift)
+        counts = _occupied_children(child, parent)
+        worst = max(worst, float(counts.max()) / float(counts.min()))
+        child = parent
+    return worst
 
 
 def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, RefinementTrace]:
@@ -131,32 +160,36 @@ def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, Refinem
     removes its whole subtree, so uniformity established at finer levels is
     preserved.  Per level the surviving child counts lie in one dyadic class,
     i.e. they agree within a factor 2.
+
+    The cells are sorted once by their quadtree keys (_ladder_keys), so the
+    parents and children of every level are runs of the sorted keys, and
+    pruning whole parent runs keeps the key order.
     """
     if E.is_empty():
         raise StructureError("cannot uniformize an empty set")
     if not ladder.compatible_with(E.scale):
         raise GridError(f"ladder (k={ladder.k}) incompatible with scale k={E.scale.k}")
-    k = E.scale.k
-    codes = E.codes
+    step = 2 * ladder.m
+    keys = np.sort(_ladder_keys(E.codes, ladder))
+    child = _run_heads(keys)
     trace = RefinementTrace()
     for j in range(ladder.N, 0, -1):
-        par, counts = _child_counts(codes, k, ladder, j)
-        classes = np.floor(np.log2(counts)).astype(np.int64)
-        cell_parents = _ancestor_codes(codes, k - ladder.m * (j - 1))
-        cls_of_cell = classes[np.searchsorted(par, cell_parents)]
+        parent = _run_heads(keys >> step * (ladder.N - j + 1))
+        classes = np.floor(np.log2(_occupied_children(child, parent))).astype(np.int64)
+        cls_of_cell = np.repeat(classes, np.diff(np.append(np.flatnonzero(parent), keys.size)))
         mass = np.bincount(cls_of_cell, minlength=int(classes.max()) + 1)
         occupied = np.count_nonzero(mass)  # every parent holds a cell
         best = int(np.argmax(mass))
         keep = cls_of_cell == best
-        frac = float(np.count_nonzero(keep)) / codes.size
+        frac = float(np.count_nonzero(keep)) / keys.size
         trace.add(
             f"level {j}: {occupied} dyadic classes, kept class 2^{best}",
             frac,
             1.0 / (2.0 * occupied),
         )
-        codes = codes[keep]
-    out = CellSet(E.scale, codes)
-    return out, uniformity_error(out, ladder), trace
+        keys, child = keys[keep], parent[keep]  # whole parent runs go
+    out = CellSet._from_sorted_codes(E.scale, np.sort(_ladder_keys(keys, ladder, inverse=True)))
+    return out, _keys_uniformity_error(keys, step, ladder.N), trace
 
 
 def is_uniform(E: CellSet, ladder: ScaleLadder, C: float) -> bool:
@@ -172,11 +205,8 @@ def uniformity_error(E: CellSet, ladder: ScaleLadder) -> float:
         raise StructureError("empty set")
     if not ladder.compatible_with(E.scale):
         raise GridError("ladder incompatible with scale")
-    worst = 1.0
-    for j in range(1, ladder.N + 1):
-        _, counts = _child_counts(E.codes, E.scale.k, ladder, j)
-        worst = max(worst, float(counts.max()) / float(counts.min()))
-    return worst
+    keys = np.sort(_ladder_keys(E.codes, ladder))
+    return _keys_uniformity_error(keys, 2 * ladder.m, ladder.N)
 
 
 # -- branching functions --------------------------------------------------------
@@ -241,10 +271,7 @@ def shading_window_counts(Y: Shading, ladder: ScaleLadder) -> np.ndarray:
     """Occupied aligned arclength windows of Y per ladder level (1-d covering
     counts; within a factor 2 of the greedy segment cover)."""
     pos = Y.arc_positions()
-    out = np.empty(ladder.N + 1, dtype=np.int64)
-    for j in range(ladder.N + 1):
-        out[j] = _sorted_unique(np.floor(pos / ladder.rho(j)).astype(np.int64)).size
-    return out
+    return np.array([_aligned_counts(pos, ladder.rho(j)) for j in range(ladder.N + 1)])
 
 
 def common_branching(
@@ -435,14 +462,8 @@ def two_ends_scale(Y: Shading, v: float, C: float) -> float:
 def _shading_uniformity_error(pos: np.ndarray, d: float, k: int) -> float:
     """Worst per-level max/min ratio of occupied fine windows per coarse window
     on a 4-adic arclength ladder (binary steps cannot exceed ratio 2, so they
-    would make the check vacuous)."""
-    idx = _sorted_unique(np.floor(pos / d).astype(np.int64))
-    worst = 1.0
-    for _ in range(k // 2):
-        parents, counts = _sorted_counts(idx >> 2)
-        worst = max(worst, float(counts.max()) / float(counts.min()))
-        idx = parents
-    return worst
+    would make the check vacuous); pos is sorted."""
+    return _keys_uniformity_error(np.floor(pos / d).astype(np.int64), 2, k // 2)
 
 
 # -- Katz-Tao coarse subsampling ---------------------------------------------------
@@ -524,12 +545,13 @@ def rich_point_refine(
         # of a checked shading on the same line stays sorted and in the tube.
         flat = np.concatenate([sh.cells.codes for _, sh in fam.entries])
         inside = _member(rich, flat)[0]
-        ends = np.cumsum([sh.cells.n_cells for _, sh in fam.entries])
-        parts = np.split(flat[inside], np.cumsum(inside)[ends[:-1] - 1])
+        kept = flat[inside]
+        sizes = [sh.cells.n_cells for _, sh in fam.entries]
+        ends = np.cumsum(inside)[np.cumsum(sizes) - 1].tolist()  # shadings are nonempty
         entries = [
-            (line, Shading._from_checked(line, CellSet._from_sorted_codes(fam.scale, part)))
-            for (line, _), part in zip(fam.entries, parts)
-            if part.size
+            (line, Shading._from_checked(line, CellSet._from_sorted_codes(fam.scale, kept[lo:hi])))
+            for (line, _), lo, hi in zip(fam.entries, [0, *ends], ends)
+            if hi > lo
         ]
         if not entries:
             raise StructureError("refinement emptied the family")

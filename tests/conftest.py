@@ -638,3 +638,71 @@ def reference_rich_point_refine(F: LineFamily):
             raise StructureError("rich-point refinement did not stabilize")
     assert e_mu is not None
     return fam, e_mu, mu, trace
+
+
+# uniformize and uniformity_error as they were before the quadtree keys of
+# structure._ladder_keys replaced the per-level sorts; np.unique stands in for
+# grid's sort helpers and the ancestor codes are spelled out, so the copy
+# shares no run or key code with the library.
+
+
+def _reference_ancestor_codes(codes: np.ndarray, shift: int) -> np.ndarray:
+    up = np.uint64(shift)
+    mask = np.uint64(0xFFFFFFFF)
+    return (((codes >> np.uint64(32)) >> up) << np.uint64(32)) | ((codes & mask) >> up)
+
+
+def _reference_child_counts(codes: np.ndarray, k: int, ladder, j: int):
+    """Per-parent occupied-child counts at ladder level j (parents at j-1)."""
+    child = np.unique(_reference_ancestor_codes(codes, k - ladder.m * j))
+    return np.unique(_reference_ancestor_codes(child, ladder.m), return_counts=True)
+
+
+def reference_uniformity_error(E: CellSet, ladder) -> float:
+    """Worst per-level max/min ratio of occupied-child counts."""
+    worst = 1.0
+    for j in range(1, ladder.N + 1):
+        _, counts = _reference_child_counts(E.codes, E.scale.k, ladder, j)
+        worst = max(worst, float(counts.max()) / float(counts.min()))
+    return worst
+
+
+def reference_uniformize(E: CellSet, ladder):
+    """Finest to coarsest, keep the dyadic class of occupied-child counts
+    carrying the most cells; one sort per level and a binary search of every
+    cell's parent."""
+    from tubelab.structure import RefinementTrace
+
+    k = E.scale.k
+    codes = E.codes
+    trace = RefinementTrace()
+    for j in range(ladder.N, 0, -1):
+        par, counts = _reference_child_counts(codes, k, ladder, j)
+        classes = np.floor(np.log2(counts)).astype(np.int64)
+        cell_parents = _reference_ancestor_codes(codes, k - ladder.m * (j - 1))
+        cls_of_cell = classes[np.searchsorted(par, cell_parents)]
+        mass = np.bincount(cls_of_cell, minlength=int(classes.max()) + 1)
+        occupied = np.count_nonzero(mass)
+        best = int(np.argmax(mass))
+        keep = cls_of_cell == best
+        frac = float(np.count_nonzero(keep)) / codes.size
+        trace.add(
+            f"level {j}: {occupied} dyadic classes, kept class 2^{best}",
+            frac,
+            1.0 / (2.0 * occupied),
+        )
+        codes = codes[keep]
+    out = CellSet(E.scale, codes)
+    return out, reference_uniformity_error(out, ladder), trace
+
+
+def reference_shading_uniformity_error(pos: np.ndarray, d: float, k: int) -> float:
+    """Worst per-level max/min ratio of occupied fine windows per coarse
+    window on a 4-adic arclength ladder, one np.unique per level."""
+    idx = np.unique(np.floor(pos / d).astype(np.int64))
+    worst = 1.0
+    for _ in range(k // 2):
+        parents, counts = np.unique(idx >> 2, return_counts=True)
+        worst = max(worst, float(counts.max()) / float(counts.min()))
+        idx = parents
+    return worst

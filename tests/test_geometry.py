@@ -26,6 +26,7 @@ from tubelab.geometry import (
     _CHUNK_CELLS,
     CHART_SHALLOW,
     CHART_STEEP,
+    _check_in_tube,
     _line_chunks,
     segment_count,
     tube_cell_count,
@@ -196,6 +197,46 @@ def test_shading_requires_tube_membership():
         Shading(line, CellSet.from_cells(sc, [(0, 0)]))
     with pytest.raises(GeometryError):
         Shading(line, CellSet.from_cells(sc, []))
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_tube_check_on_the_slack_boundary(k):
+    # A cell center lies at offset exactly 2 delta hypot(1, a) from its line
+    # when a_q (2i+1) n - (2j+1) n^2 + 2 b_q n^2 = +-4 (n^2 + a_q^2), which has
+    # integer solutions only for slopes a = +-1/4, +-3/4 and +-1.  Shading and
+    # the batched check accept such cells even without the 1e-12 of
+    # _tube_slack, and reject the cell one row further out.
+    sc = Scale(k)
+    n = sc.n
+    i = np.arange(n, dtype=np.int64)
+    checked = 0
+    for a_q in (n // 4, 3 * n // 4, n, -n // 4, -3 * n // 4, -n):
+        for b_q in range(-n, 2 * n + 1, n // 4 + 1):
+            for sgn in (1, -1):
+                num = a_q * (2 * i + 1) * n + 2 * b_q * n * n - sgn * 4 * (n * n + a_q * a_q)
+                odd = num // (n * n)
+                j = (odd - 1) // 2
+                hit = np.flatnonzero((num % (n * n) == 0) & (odd % 2 == 1) & (j >= 0) & (j < n))
+                if hit.size == 0:
+                    continue
+                ci, cj = int(i[hit[0]]), int(j[hit[0]])
+                for chart in (CHART_SHALLOW, CHART_STEEP):
+                    try:
+                        line = Line(sc, chart, a_q, b_q)
+                    except GeometryError:  # misses the square
+                        continue
+                    flip = (lambda u, v: (u, v)) if chart == CHART_SHALLOW else (lambda u, v: (v, u))
+                    cells = CellSet.from_cells(sc, [flip(ci, cj)])
+                    off = abs(line.arc_and_offset(cells.centers())[1][0])
+                    bound = 2 * sc.delta * math.hypot(1.0, line.a)
+                    assert bound * (1 - 1e-15) <= off <= bound
+                    Shading(line, cells)
+                    _check_in_tube([line], [cells])
+                    if 0 <= cj - sgn < n:
+                        with pytest.raises(GeometryError):
+                            Shading(line, CellSet.from_cells(sc, [flip(ci, cj - sgn)]))
+                    checked += 1
+    assert checked >= 24
 
 
 def test_union_single_and_disjoint():

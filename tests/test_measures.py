@@ -243,6 +243,39 @@ def test_tripled_caps_matches_reference_in_draw_order(k, cap, s, n, spread, seed
     assert np.array_equal(got, reference_capped_accept(pts, levels, np.arange(n)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),
+    caps=st.lists(
+        st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0)), min_size=1, max_size=4
+    ),
+    n_add=st.integers(0, 40),
+    n_mask=st.integers(0, 200),
+    on_grid=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, seed):
+    # caps below 1, integer caps (count + 1 > cap on the boundary) and
+    # fractional ones; grid points lie on cell edges at every level, and
+    # both kinds reach negative coordinates
+    rng = np.random.default_rng(seed)
+    d = 2.0**-k
+    levels = [(d * 2**l, cap) for l, cap in enumerate(caps)]
+    n = n_add + n_mask
+    if on_grid:
+        pts = rng.integers(-(1 << k), (1 << k) + 1, size=(n, 2)).astype(np.float64) * d
+    else:
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    tail = pts[n_add:]
+    order = np.concatenate([np.arange(n_add), n_add + np.lexsort((tail[:, 0], tail[:, 1]))])
+    expected = reference_capped_accept(pts, levels, order)
+    tc = TripledCaps(levels)
+    got = [tc.try_add(x, y) for x, y in pts[:n_add].tolist()]
+    assert np.array_equal(np.concatenate([got, tc.keep_mask(tail)]), expected)
+    if min(caps) < 1.0:
+        assert not expected.any()
+
+
 def test_frostman_1d_uniform_vs_cluster():
     uniform = frostman_constant_1d(np.linspace(0, 1, 65), 2.0**-6, 1.0)
     assert uniform.constant <= 4.0

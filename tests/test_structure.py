@@ -36,6 +36,8 @@ from tubelab.structure import (
     MultiscalePartition,
     ShadingMultiscaleResult,
     StructureError,
+    _shading_uniformity_error,
+    shading_window_counts,
     uniformity_error,
     verify_shading_multiscale,
 )
@@ -48,7 +50,10 @@ from conftest import (
     random_shading,
     reference_capped_accept,
     reference_rich_point_refine,
+    reference_shading_uniformity_error,
     reference_subsample_levels,
+    reference_uniformity_error,
+    reference_uniformize,
 )
 
 
@@ -82,6 +87,87 @@ def test_uniformize_random_sets():
         kept = out.n_cells / E.n_cells
         assert math.isclose(kept, trace.overall_fraction(), rel_tol=1e-9)
         assert kept >= trace.lower_bound()
+
+
+def _ladder_set(rng: np.random.Generator, ladder: ScaleLadder, kind: str, level: int) -> CellSet:
+    """A test input for uniformize: a single cell, a full grid (at most 2^14
+    cells, under one coarse cell when the grid is larger), sparse random
+    cells, clusters of mixed fill, or random cells under one level-`level`
+    cell, so every level up to it has a single parent."""
+    k = ladder.k
+    scale = Scale(k)
+    n = scale.n
+    if kind == "single":
+        return CellSet.from_ij(scale, rng.integers(0, n, 1), rng.integers(0, n, 1))
+    if kind == "full":
+        side = 1 << min(k, 7)
+        i0, j0 = (rng.integers(0, n // side, 2) * side).tolist()
+        ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        return CellSet.from_ij(scale, i0 + ii.ravel(), j0 + jj.ravel())
+    if kind == "random":
+        size = int(rng.integers(1, min(n * n, 3000) + 1))
+        return CellSet.from_ij(scale, rng.integers(0, n, size), rng.integers(0, n, size))
+    if kind == "clusters":
+        parts_i, parts_j = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            side = int(rng.integers(1, min(n, 40) + 1))
+            fill = float(rng.uniform(0.02, 1.0))
+            i0, j0 = rng.integers(0, n - side + 1, 2).tolist()
+            ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+            pick = rng.random(side * side) < fill
+            pick[rng.integers(side * side)] = True
+            parts_i.append(i0 + ii.ravel()[pick])
+            parts_j.append(j0 + jj.ravel()[pick])
+        return CellSet.from_ij(scale, np.concatenate(parts_i), np.concatenate(parts_j))
+    # one parent: every cell inside one cell of side rho_level
+    side = 1 << (k - ladder.m * level)
+    i0, j0 = (rng.integers(0, n // side, 2) * side).tolist()
+    size = int(rng.integers(1, min(side * side, 2000) + 1))
+    return CellSet.from_ij(scale, i0 + rng.integers(0, side, size), j0 + rng.integers(0, side, size))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    N=st.integers(1, 5),
+    kind=st.sampled_from(["single", "full", "random", "clusters", "one-parent"]),
+    level=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_uniformize_matches_reference(m, N, kind, level, seed):
+    ladder = ScaleLadder(m=m, N=N)
+    E = _ladder_set(np.random.default_rng(seed), ladder, kind, min(level, N))
+    out, err, trace = uniformize(E, ladder)
+    ref_out, ref_err, ref_trace = reference_uniformize(E, ladder)
+    assert out == ref_out
+    assert err == ref_err
+    assert trace.steps == ref_trace.steps
+    assert trace.format_text() == ref_trace.format_text()
+    assert uniformity_error(E, ladder) == reference_uniformity_error(E, ladder)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 12),
+    n=st.integers(1, 400),
+    spread=st.floats(0.001, 1.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_shading_uniformity_error_matches_reference(k, n, spread, seed):
+    # sorted arclength positions, a few of them just before the square entry
+    pos = np.sort(np.random.default_rng(seed).uniform(-0.01, spread, n))
+    d = 2.0**-k
+    assert _shading_uniformity_error(pos, d, k) == reference_shading_uniformity_error(pos, d, k)
+
+
+def test_shading_window_counts_match_aligned_windows():
+    rng = np.random.default_rng(8)
+    for m, N in ((1, 8), (2, 4), (4, 2)):
+        ladder = ScaleLadder(m=m, N=N)
+        sh = random_shading(rng, random_line(rng, Scale(8)), 0.3)
+        pos = sh.arc_positions()
+        expected = [np.unique(np.floor(pos / ladder.rho(j))).size for j in range(N + 1)]
+        assert shading_window_counts(sh, ladder).tolist() == expected
 
 
 def test_is_uniform_checker():
