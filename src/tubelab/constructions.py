@@ -200,7 +200,7 @@ def _nearest_tube_cells(line: Line, cols: np.ndarray) -> CellSet:
     c = line.a * x + line.b
     rows = np.clip(np.round(c / d - 0.5).astype(np.int64), 0, n - 1)
     dist = np.abs(c - (rows + 0.5) * d)
-    sel = dist <= d * math.hypot(1.0, line.a) + 1e-12
+    sel = dist <= d * line.nrm + 1e-12
     cols, rows = cols[sel], rows[sel]
     if line.chart == CHART_SHALLOW:
         return CellSet.from_ij(scale, cols, rows)

@@ -69,64 +69,58 @@ class Line:
             raise GeometryError(f"slope {self.a_q}*delta outside [-1, 1]")
         if not (-n <= self.b_q <= 2 * n):
             raise GeometryError(f"intercept {self.b_q}*delta outside [-1, 2]")
-        u0, u1 = self.param_range()
-        if u1 < u0:
+        # The frame, computed once per line: a and b as floats, nrm =
+        # hypot(1, a) and the parameter interval [u0, u1] inside the square.
+        d = self.scale.delta
+        a, b = self.a_q * d, self.b_q * d
+        lo, hi = 0.0, 1.0
+        if a > 0:
+            lo, hi = max(lo, (0.0 - b) / a), min(hi, (1.0 - b) / a)
+        elif a < 0:
+            lo, hi = max(lo, (1.0 - b) / a), min(hi, (0.0 - b) / a)
+        elif not (0.0 <= b <= 1.0):
+            lo, hi = 1.0, 0.0
+        if hi < lo:
             raise GeometryError("line misses the unit square")
-
-    @property
-    def a(self) -> float:
-        return self.a_q * self.scale.delta
-
-    @property
-    def b(self) -> float:
-        return self.b_q * self.scale.delta
+        set_ = object.__setattr__  # frozen: set past the dataclass __setattr__
+        set_(self, "a", a)
+        set_(self, "b", b)
+        set_(self, "nrm", math.hypot(1.0, a))
+        set_(self, "u0", lo)
+        set_(self, "u1", hi)
 
     def param_range(self) -> tuple[float, float]:
         """Parameter interval (abscissa of the chart) inside the unit square."""
-        a, b = self.a, self.b
-        lo, hi = 0.0, 1.0
-        if a > 0:
-            lo = max(lo, (0.0 - b) / a)
-            hi = min(hi, (1.0 - b) / a)
-        elif a < 0:
-            lo = max(lo, (1.0 - b) / a)
-            hi = min(hi, (0.0 - b) / a)
-        else:
-            if not (0.0 <= b <= 1.0):
-                return (1.0, 0.0)
-        return (lo, hi)
+        return (self.u0, self.u1)
 
     def length_in_square(self) -> float:
-        u0, u1 = self.param_range()
-        return max(0.0, (u1 - u0)) * math.hypot(1.0, self.a)
+        return max(0.0, (self.u1 - self.u0)) * self.nrm
 
     def point_at_param(self, u: float) -> tuple[float, float]:
         v = self.a * u + self.b
         return (u, v) if self.chart == CHART_SHALLOW else (v, u)
 
     def point_at_arc(self, s: float) -> tuple[float, float]:
-        u0, _ = self.param_range()
-        u = u0 + s / math.hypot(1.0, self.a)
-        return self.point_at_param(u)
+        return self.point_at_param(self.u0 + s / self.nrm)
 
     def direction(self) -> tuple[float, float]:
-        nrm = math.hypot(1.0, self.a)
         if self.chart == CHART_SHALLOW:
-            return (1.0 / nrm, self.a / nrm)
-        return (self.a / nrm, 1.0 / nrm)
+            return (1.0 / self.nrm, self.a / self.nrm)
+        return (self.a / self.nrm, 1.0 / self.nrm)
 
     def distance(self, x: float, y: float) -> float:
         u, v = (x, y) if self.chart == CHART_SHALLOW else (y, x)
-        return abs(self.a * u - v + self.b) / math.hypot(1.0, self.a)
+        return abs(self.a * u - v + self.b) / self.nrm
 
     def arc_and_offset(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project points to (arclength from square entry, signed offset)."""
         p = np.asarray(pts, dtype=np.float64)
-        if self.chart == CHART_SHALLOW:
-            u, v = p[:, 0], p[:, 1]
-        else:
-            u, v = p[:, 1], p[:, 0]
-        return _arc_and_offset(u, v, self.a, self.b, self.param_range()[0], math.hypot(1.0, self.a))
+        return self.project(p[:, 0], p[:, 1])
+
+    def project(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """arc_and_offset of the points given as coordinate arrays x and y."""
+        u, v = (x, y) if self.chart == CHART_SHALLOW else (y, x)
+        return _arc_and_offset(u, v, self.a, self.b, self.u0, self.nrm)
 
     def requantize(self, scale: Scale) -> "Line":
         """Nearest line on another scale's quantization grid."""
@@ -171,16 +165,14 @@ def _cell_arcs_and_offsets(
     d = cellsets[0].scale.delta
     x, y = (i + 0.5) * d, (j + 0.5) * d
     steep = np.repeat([ln.chart == CHART_STEEP for ln in lines], sizes)
-    per_line = np.array(
-        [(ln.a, ln.b, ln.param_range()[0], math.hypot(1.0, ln.a)) for ln in lines]
-    )
+    per_line = np.array([(ln.a, ln.b, ln.u0, ln.nrm) for ln in lines])
     a, b, u0, nrm = np.repeat(per_line, sizes, axis=0).T
     return _arc_and_offset(np.where(steep, y, x), np.where(steep, x, y), a, b, u0, nrm)
 
 
 def _tube_slack(line: "Line", d: float) -> float:
     """Largest offset a shading cell of width d may have from its line."""
-    return 2.0 * d * math.hypot(1.0, line.a) + 1e-12
+    return 2.0 * d * line.nrm + 1e-12
 
 
 def _check_in_tube(lines: Sequence["Line"], cellsets: Sequence[CellSet]) -> None:
@@ -221,7 +213,7 @@ def tube_cells(
     d = scale.delta
     n = scale.n
     cols = np.arange(n, dtype=np.int64) if columns is None else np.asarray(columns, dtype=np.int64)
-    lo, lens = _row_spans(line.a, line.b, w * math.hypot(1.0, line.a), (cols + 0.5) * d, d, n)
+    lo, lens = _row_spans(line.a, line.b, w * line.nrm, (cols + 0.5) * d, d, n)
     u = np.repeat(cols, lens)
     v = np.repeat(lo, lens) + _run_offsets(lens)
     if line.chart == CHART_SHALLOW:
@@ -234,7 +226,7 @@ def tube_cell_count(line: Line, w: float, cell_scale: Scale | None = None) -> in
     scale = cell_scale if cell_scale is not None else line.scale
     d = scale.delta
     x = (np.arange(scale.n, dtype=np.int64) + 0.5) * d
-    _, lens = _row_spans(line.a, line.b, w * math.hypot(1.0, line.a), x, d, scale.n)
+    _, lens = _row_spans(line.a, line.b, w * line.nrm, x, d, scale.n)
     return int(lens.sum())
 
 
@@ -254,7 +246,7 @@ class Shading:
     def __post_init__(self) -> None:
         if self.cells.is_empty():
             raise GeometryError("shading must be nonempty")
-        _, off = self.line.arc_and_offset(self.cells.centers())
+        _, off = self.arc_and_offset()
         if np.max(np.abs(off)) > _tube_slack(self.line, self.cells.scale.delta):
             raise GeometryError("shading cell outside the tube")
 
@@ -273,12 +265,15 @@ class Shading:
 
     def arc_positions(self) -> np.ndarray:
         """Sorted arclength positions of the cell centers along the line."""
-        arc, _ = self.line.arc_and_offset(self.cells.centers())
+        arc, _ = self.arc_and_offset()
         arc.sort()
         return arc
 
     def arc_and_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.line.arc_and_offset(self.cells.centers())
+        """Line.arc_and_offset of the cell centers."""
+        i, j = self.cells.ij()
+        d = self.cells.scale.delta
+        return self.line.project((i + 0.5) * d, (j + 0.5) * d)
 
 
 @dataclass(frozen=True)

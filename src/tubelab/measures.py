@@ -161,7 +161,9 @@ def _tripled_max(
     dyadic r-cells Q, with the center of the first maximal Q as witness.
 
     Ties keep the finest level (strict >) and, within a level, the least
-    (iq, jq) cell.
+    (iq, jq) cell.  Only occupied cells Q are visited, so an empty Q whose
+    3Q holds more points is missed: points in cells (0, 0) and (2, 0) at
+    r = 1/8 give 1, while the empty Q = (1, 0) has 2 in 3Q.
     """
     best, wit_r, wit_x = -1.0, levels[0][0], (0.0, 0.0)
     for r, denom in levels:
@@ -183,7 +185,9 @@ def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrati
     """Least C with #(E in 3Q) <= C (r/delta)^s over dyadic r in [delta, 1].
 
     E is a CellSet (counted by cell centers) or an (n, 2) point array with an
-    explicit delta.
+    explicit delta.  Q ranges only over cells that hold a point of E (see
+    _tripled_max), so the constant can fall short of the least C: for cells
+    (0, 0) and (2, 0) at delta = 1/8 and s = 1 it reports 1.0, not 2.
     """
     if not (0.0 < s <= 2.0):
         raise MeasureError(f"exponent {s} outside (0, 2]")
@@ -245,7 +249,7 @@ def densities(shadings: Sequence[Shading]) -> np.ndarray:
     scale = _one_scale(shadings)
     d, n = scale.delta, scale.n
     a, b, W = np.array(
-        [(sh.line.a, sh.line.b, d * math.hypot(1.0, sh.line.a)) for sh in shadings]
+        [(sh.line.a, sh.line.b, d * sh.line.nrm) for sh in shadings]
     ).T[:, :, None]
     x = (np.arange(n, dtype=np.int64) + 0.5) * d
     tubes = np.empty(len(shadings), dtype=np.int64)
@@ -303,13 +307,17 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     """sup over dyadic r in [delta, 1] and delta-spaced x on the line of
     (delta/r)^t * #(cells of Y with center in B(x, r)).
 
-    All k+1 scales are handled in one pass.  Row i of the (scale x cell)
-    table is r = 2^(i-k); a cell within reach of x covers the arclength
-    interval [arc - w, arc + w].  The max over grid points x = m*delta equals
-    the max over the candidates ceil(left/delta)*delta (counts only change at
-    interval endpoints).  Sorting left, candidate and right events by (row,
-    value) with ties in that order makes the running sum of +1/-1 at each
-    candidate its exact cover count.
+    All k+1 scales are handled in one integer table.  Row i is r = 2^(i-k);
+    a cell within reach of x covers the arclength interval [left, right] =
+    [arc - w, arc + w].  delta = 2^-k, so left/delta and right/delta are
+    exact, and the cell covers the grid point x = m*delta, 0 <= m <= M =
+    floor(lambda/delta), exactly when lo = ceil(left/delta) <= m <= hi =
+    floor(right/delta).  A +1 at lo and a -1 at hi+1, summed along the row,
+    give the cover count of every grid point; argmax keeps the first (least
+    x) maximum of each row.  When lambda lies within 1e-12 below the next
+    grid point, that point counts as x = lambda (a 1e-12 slack at the end of
+    the line), the row's last column, whose cover is tested in floats.  Rows
+    go fine to coarse with a strict >, so ties keep the finest scale.
     """
     if not (0.0 <= t <= 1.0):
         raise MeasureError(f"gamma exponent {t} outside [0, 1]")
@@ -317,40 +325,33 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     k = Y.cells.scale.k
     arc, off = Y.arc_and_offset()
     lam = max(Y.line.length_in_square(), d)
+    M = math.floor(lam / d)
     r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))
     reach2 = r2[:, None] - (off * off)[None, :]
     mask = reach2 > 0.0
     rows, cols = mask.nonzero()
     w = np.sqrt(reach2[mask])
-    a = arc[cols]
-    left, right = a - w, a + w
-    cand = np.ceil(np.maximum(left, 0.0) / d) * d
-    ok = cand <= np.minimum(right, lam) + 1e-12
-    cand = np.minimum(cand[ok], lam)
-    sizes = [left.size, cand.size, right.size]
-    ev_x = np.concatenate([left, cand, right])
-    ev_row = np.concatenate([rows, rows[ok], rows])
-    ev_kind = np.repeat(np.array([0, 1, 2], dtype=np.int8), sizes)
-    order = np.lexsort((ev_kind, ev_x, ev_row))
-    cover = np.cumsum(np.repeat(np.array([1, 0, -1], dtype=np.int64), sizes)[order])
-    at_cand = ev_kind[order] == 1
-    cnt, crow, cx = cover[at_cand], ev_row[order][at_cand], ev_x[order][at_cand]
-    # First (smallest-x) maximum per row: candidates are in (row, x) order, so
-    # a stable sort by (row, -count) puts it at the head of each row.
-    head = np.argsort(crow * (arc.size + 1) - cnt, kind="stable")
-    hrow = crow[head]
-    first = np.ones(head.size, dtype=bool)
-    np.not_equal(hrow[1:], hrow[:-1], out=first[1:])
-    head = head[first]
-    # Fine to coarse with a strict >, so ties keep the finest scale.
+    left, right = arc[cols] - w, arc[cols] + w
+    lo = np.maximum(np.ceil(left / d), 0.0).astype(np.int64)
+    hi = np.minimum(np.floor(right / d), M).astype(np.int64)
+    ok = lo <= hi
+    at = rows[ok] * (M + 2)
+    size = (k + 1) * (M + 2)
+    steps = np.bincount(at + lo[ok], minlength=size) - np.bincount(at + hi[ok] + 1, minlength=size)
+    cover = steps.reshape(k + 1, M + 2).cumsum(axis=1)  # column M+1 sums to 0
+    if math.floor((lam + 1e-12) / d) > M:
+        cover[:, M + 1] = np.bincount(rows[(left <= lam) & (lam <= right)], minlength=k + 1)
+    first = cover.argmax(axis=1)
+    counts = cover[np.arange(k + 1), first]
     best = -1.0
     wit_r, wit_arc = d, 0.0
-    for i, c, x_arc in zip(crow[head].tolist(), cnt[head].tolist(), cx[head].tolist()):
+    for i in np.flatnonzero(counts).tolist():
         r = 2.0 ** (i - k)
-        value = (d / r) ** t * c
+        value = (d / r) ** t * int(counts[i])
         if value > best:
             best = float(value)
-            wit_r, wit_arc = r, x_arc
+            m = int(first[i])
+            wit_r, wit_arc = r, (m * d if m <= M else lam)
     point = Y.line.point_at_arc(wit_arc)
     return GammaReport(t, best, wit_r, (float(point[0]), float(point[1])), wit_arc)
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from tubelab import lab
+from tubelab import lab, measures
+from tubelab.constructions import ConfigSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -125,3 +126,16 @@ def test_lab_looks_up_patched_names_in_its_globals():
     assert {"build_sweep_family", "verify_theorem"} <= set(lab.sweep.__code__.co_names)
     assert "gamma_sup" in lab._family_measurements.__code__.co_names
     assert "_family_measurements" in lab.verify_theorem.__code__.co_names
+
+
+def test_gamma_sup_calls_gamma_once_per_line(monkeypatch):
+    # the traced gamma_calls and gamma_cell_scales count per-line calls of
+    # measures.gamma, so gamma_sup must make exactly one per line, in order
+    seen = []
+    gamma = measures.gamma
+    monkeypatch.setattr(measures, "gamma", lambda Y, t: seen.append(Y) or gamma(Y, t))
+    spec = ConfigSpec(delta=2.0**-5, t=1.5, s=0.05, r=2.0**-4, seed=405, kind="case2")
+    F = lab.build_sweep_family(spec, 2.0**-6)
+    measures.gamma_sup(F, 0.5)
+    assert len(F) > 1
+    assert [id(Y) for Y in seen] == [id(sh) for _, sh in F.entries]

@@ -21,8 +21,10 @@ from tubelab import (
     two_ends_constant,
     two_ends_constants,
 )
+from tubelab.constructions import ConfigSpec
 from tubelab.geometry import _CHUNK_CELLS
 from tubelab.grid import coarsen
+from tubelab.lab import build_sweep_family
 from tubelab.measures import MeasureError, TripledCaps, frostman_constant_1d, gamma_value_at
 
 from conftest import (
@@ -541,29 +543,113 @@ def test_gamma_witness_reproduces():
         )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     k=st.integers(2, 8),
     chart=st.sampled_from(["s", "t"]),
+    corner=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     width=st.sampled_from([1.0, 1.5, 2.0]),
-    density=st.floats(0.02, 1.0),
+    density=st.one_of(st.just(0.0), st.floats(0.02, 1.0)),
     t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    end_slack=st.booleans(),
 )
-def test_gamma_matches_reference(k, chart, seed, width, density, t):
-    # cells up to 2 delta off the line drop out of the finest scales
+def test_gamma_matches_reference(k, chart, corner, seed, width, density, t, end_slack):
+    # Cells up to 2 delta off the line drop out of the finest scales; corner
+    # lines are often shorter than delta (lambda is then delta) and shorter
+    # than r at every coarser scale; density 0 is a single-cell shading.
+    # With end_slack, lambda is (M+1) delta - 1e-13 for M = floor(lambda /
+    # delta), so the grid point (M+1) delta lies within the 1e-12 end slack.
     rng = np.random.default_rng(seed)
     sc = Scale(k)
-    line = random_line(rng, sc, chart=chart)
+    line = _corner_line(rng, sc, chart) if corner else random_line(rng, sc, chart=chart)
     tube = tube_cells(line, width * sc.delta)
     count = max(1, round(density * tube.n_cells))
     pick = np.sort(rng.choice(tube.n_cells, size=count, replace=False))
     sh = Shading(line, CellSet(sc, tube.codes[pick]))
-    got, want = gamma(sh, t), reference_gamma(sh, t)
-    assert got.value == want.value
-    assert got.witness_r == want.witness_r
-    assert got.witness_x == want.witness_x
-    assert got.witness_arc == want.witness_arc
+    length = Line.length_in_square
+    d = sc.delta
+    with pytest.MonkeyPatch.context() as mp:
+        if end_slack:
+            mp.setattr(Line, "length_in_square", lambda ln: (max(length(ln), d) // d + 1) * d - 1e-13)
+        assert gamma(sh, t) == reference_gamma(sh, t)
+
+
+def test_gamma_matches_reference_on_corner_lines():
+    # every line _corner_line can draw at k <= 5, both charts: the whole tube
+    # and its first, middle and last cell alone
+    short = 0
+    for k in (2, 3, 4, 5):
+        sc = Scale(k)
+        n = sc.n
+        for chart in ("s", "t"):
+            for a_q in range(1, n + 1):
+                for c in range(3):
+                    for line in (Line(sc, chart, a_q, n - c), Line(sc, chart, -a_q, c)):
+                        short += line.length_in_square() < sc.delta
+                        tube = tube_cells(line, sc.delta)
+                        picks = [slice(None)] + [[i] for i in {0, tube.n_cells // 2, tube.n_cells - 1}]
+                        for pick in picks:
+                            sh = Shading(line, CellSet(sc, tube.codes[pick]))
+                            for t in (0.0, 0.5, 1.0):
+                                assert gamma(sh, t) == reference_gamma(sh, t)
+    assert short > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 7),
+    chart=st.sampled_from(["s", "t"]),
+    n_pts=st.integers(1, 40),
+    end_slack=st.booleans(),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma_matches_reference_on_grid_interval_ends(k, chart, n_pts, end_slack, t, seed):
+    # A cell on the line (offset 0) reaches w = r exactly, so an arc at a
+    # multiple of delta puts both ends of its intervals on grid points.  The
+    # arcs run past lambda; with end_slack, lambda sits 1e-13 below a grid
+    # point, which then counts as x = lambda.
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    d = sc.delta
+    sh = random_shading(rng, random_line(rng, sc, chart=chart))
+    M = math.floor(max(sh.line.length_in_square(), d) / d)
+    arc = rng.integers(-4, 2 * M + 6, size=n_pts) * (d / 2)
+    off = rng.choice([0.0, 0.0, d / 2, -d, 1.5 * d], size=n_pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Shading, "arc_and_offset", lambda self: (arc, off))
+        if end_slack:
+            mp.setattr(Line, "length_in_square", lambda self: (M + 1) * d - 1e-13)
+        assert gamma(sh, t) == reference_gamma(sh, t)
+
+
+def test_gamma_witness_in_end_slack_is_lambda(monkeypatch):
+    # lambda = 9 delta - 1e-13, so M = 8.  At r = delta, cells on the line
+    # cover [arc - delta, arc + delta]: two at arc 9.5 delta cover no grid
+    # point 0..8, one at lambda + delta starts exactly at lambda and one at
+    # lambda - delta ends exactly there.  x = lambda is covered 4 times and
+    # wins the finest scale; every grid point has at most 2.
+    sc = Scale(3)
+    d = sc.delta
+    lam = 9 * d - 1e-13
+    arc = np.array([9.5 * d, 9.5 * d, lam + d, lam - d])
+    sh = Shading(Line(sc, "s", 0, 4), CellSet.from_cells(sc, [(7, 3), (7, 4)]))
+    monkeypatch.setattr(Shading, "arc_and_offset", lambda self: (arc, np.zeros(4)))
+    monkeypatch.setattr(Line, "length_in_square", lambda self: lam)
+    for t in (0.0, 0.5, 1.0):
+        rep = gamma(sh, t)
+        assert (rep.value, rep.witness_r, rep.witness_arc) == (4.0, d, lam)
+        assert rep == reference_gamma(sh, t)
+
+
+def test_gamma_matches_reference_on_case2_family():
+    # every line of the seed-405 criterion-05 case-2 family at delta = 2^-8
+    spec = ConfigSpec(delta=2.0**-8, t=1.5, s=0.05, r=2.0**-5, seed=405, kind="case2")
+    F = build_sweep_family(spec, 2.0**-8)
+    assert len(F) == 2339
+    for _, sh in F.entries:
+        assert gamma(sh, 0.5) == reference_gamma(sh, 0.5)
 
 
 def test_gamma_rejects_bad_exponent():
