@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _ancestor_codes, _check_codes, _encode, _member, _run_offsets
+from .grid import CellSet, Scale, _check_codes, _decode, _encode, _run_ranges, _sorted_unique
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
@@ -24,6 +24,7 @@ from .geometry import (
     LineFamily,
     Shading,
     _check_in_tube,
+    _line_chunks,
     _row_spans,
     tube_cells,
     union_shadings,
@@ -43,6 +44,13 @@ __all__ = [
 ]
 
 KINDS = ("base", "case1", "case2", "random", "bush", "grid")
+
+# (key x child column) entries per batch of bundle_case2.  The k = 12 point
+# of the case-2 sweep has 53 M entries, and a batch holds some 220 bytes per
+# entry while the family it adds to is nearly complete: 2^19 entries raised
+# that point's peak RSS by a sixth, 2^17 by 1 %, at the same speed within
+# noise.
+_BUNDLE_CHUNK = 1 << 17
 
 
 class ConstructionError(ValueError):
@@ -129,14 +137,23 @@ def _cantor_points_2d(levels: int, target: float, rng: np.random.Generator) -> n
     return pts
 
 
-def _cantor_positions_1d(levels: int, target: float, rng: np.random.Generator) -> np.ndarray:
-    """Integer positions of a 1-d self-similar set in [0, 2^levels)."""
+def _cantor_positions_1d(
+    levels: int, target: float, rng: np.random.Generator, count: int = 1
+) -> np.ndarray:
+    """Integer positions of `count` 1-d self-similar sets in [0, 2^levels),
+    one sorted row each.  The digits are drawn row by row, level by level:
+    one draw of `count` rows is the same as `count` draws of one row."""
     schedule = _digit_schedule(levels, target, (1, 2))
-    pos = np.zeros(1, dtype=np.int64)
+    digits = rng.integers(2, size=(count, schedule.count(1)))
+    pos = np.zeros((count, 1), dtype=np.int64)
+    level = 0
     for kappa in schedule:
-        digs = np.array([int(rng.integers(2))] if kappa == 1 else [0, 1], dtype=np.int64)
-        pos = (pos[:, None] * 2 + digs[None, :]).reshape(-1)
-    return np.sort(pos)
+        if kappa == 1:
+            pos = pos * 2 + digits[:, level, None]
+            level += 1
+        else:
+            pos = (pos[:, :, None] * 2 + np.arange(2)).reshape(count, 2 * pos.shape[1])
+    return np.sort(pos, axis=1)
 
 
 def _katz_tao_caps(delta: float, s: float, cap: float) -> TripledCaps:
@@ -164,47 +181,48 @@ def build_base(
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
     keep = _katz_tao_caps(r, t, 8.0).keep_mask(duals.astype(np.float64) * r)
-    duals = duals[keep]
-    entries = []
-    for a_q, b_q in duals:
-        line = Line(scale, chart, int(a_q), int(b_q))
-        u0, u1 = line.param_range()
-        if u1 - u0 < 0.5:
-            # edge-clipped lines are too short to carry the target mass and
-            # would skew the family's density and non-concentration profile
-            continue
-        cols = _cantor_positions_1d(scale.k, s, rng)
-        cells = _nearest_tube_cells(line, cols)
-        if cells.is_empty():
-            continue
-        entries.append((line, Shading(line, cells)))
-    if not entries:
+    lines = [Line(scale, chart, a_q, b_q) for a_q, b_q in duals[keep].tolist()]
+    # edge-clipped lines are too short to carry the target mass and would
+    # skew the family's density and non-concentration profile
+    lines = [ln for ln in lines if ln.u1 - ln.u0 >= 0.5]
+    codes = _nearest_tube_codes(lines, _cantor_positions_1d(scale.k, s, rng, len(lines)))
+    kept = [(ln, CellSet._from_sorted_codes(scale, c)) for ln, c in zip(lines, codes) if c.size]
+    if not kept:
         raise ConstructionError("base construction produced no usable lines")
-    return LineFamily(scale, tuple(entries))
+    _check_in_tube([ln for ln, _ in kept], [cells for _, cells in kept])
+    return LineFamily(scale, tuple((ln, Shading._from_checked(ln, cells)) for ln, cells in kept))
 
 
-def _nearest_tube_cells(line: Line, cols: np.ndarray) -> CellSet:
-    """One tube cell per requested column: the cell whose center is nearest
-    the line, skipping columns outside the square."""
-    scale = line.scale
+def _nearest_tube_codes(lines: Sequence[Line], cols: np.ndarray) -> list[np.ndarray]:
+    """Sorted codes of one tube cell per requested column for each line (the
+    lines share one scale and chart; cols[l] are the columns of lines[l]): the
+    cell whose center is nearest the line, skipping columns outside the
+    square and cells off the width-delta tube.  A line with no column left in
+    the square gets the column under its midpoint."""
+    if not lines:
+        return []
+    scale = lines[0].scale
     d = scale.delta
     n = scale.n
-    u0, u1 = line.param_range()
+    a, b, u0, u1, nrm = np.array([(ln.a, ln.b, ln.u0, ln.u1, ln.nrm) for ln in lines]).T[:, :, None]
+    cols = cols.copy()
     x = (cols + 0.5) * d
     sel = (x >= u0 - d / 2) & (x <= u1 + d / 2)
-    cols, x = cols[sel], x[sel]
-    if cols.size == 0:
-        mid = (u0 + u1) / 2.0
-        cols = np.array([min(n - 1, max(0, int(mid / d)))], dtype=np.int64)
-        x = (cols + 0.5) * d
-    c = line.a * x + line.b
+    none = ~sel.any(axis=1)
+    mid = (u0[none, 0] + u1[none, 0]) / 2.0
+    cols[none, 0] = np.clip((mid / d).astype(np.int64), 0, n - 1)
+    sel[none, 0] = True
+    c = a * ((cols + 0.5) * d) + b
     rows = np.clip(np.round(c / d - 0.5).astype(np.int64), 0, n - 1)
-    dist = np.abs(c - (rows + 0.5) * d)
-    sel = dist <= d * line.nrm + 1e-12
-    cols, rows = cols[sel], rows[sel]
-    if line.chart == CHART_SHALLOW:
-        return CellSet.from_ij(scale, cols, rows)
-    return CellSet.from_ij(scale, rows, cols)
+    sel &= np.abs(c - (rows + 0.5) * d) <= d * nrm + 1e-12
+    codes = _encode(cols, rows) if lines[0].chart == CHART_SHALLOW else _encode(rows, cols)
+    # one cell per column, so a line's codes are distinct; the unused slots
+    # sort past them
+    codes[~sel] = np.iinfo(np.uint64).max
+    codes.sort(axis=1)
+    sizes = sel.sum(axis=1)
+    flat = codes[np.arange(codes.shape[1]) < sizes[:, None]]
+    return np.split(flat, np.cumsum(sizes)[:-1])
 
 
 def rescale_case1(F: LineFamily, delta: float) -> LineFamily:
@@ -258,7 +276,7 @@ def bundle_offsets(q: int, t: float, seed: int = 12_021) -> tuple[np.ndarray, np
     step-2 lattice wide enough that the child tubes sweep the whole r-tube."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     if q >= 2:
-        da = _cantor_positions_1d(round(math.log2(q)), t - 1.0, rng)
+        da = _cantor_positions_1d(round(math.log2(q)), t - 1.0, rng)[0]
     else:
         da = np.zeros(1, dtype=np.int64)
     reach = (3 * q) // 2 + 2
@@ -286,52 +304,80 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     q = new_scale.n // F.scale.n
     shift = round(math.log2(q))
     da, db = bundle_offsets(q, t)
+    if any(line.chart != CHART_SHALLOW for line in F.lines):
+        raise ConstructionError("case-2 bundling expects shallow-chart parents")
+    A = np.array([line.a_q for line in F.lines], dtype=np.int64) * q
+    B = np.array([line.b_q for line in F.lines], dtype=np.int64) * q
+    # Every (parent, da, db) key in loop order (parent, then da, then db); a
+    # key is claimed by the first parent that reaches it, even if its child
+    # ends up empty.
+    a_new, b_new = A[:, None] + da, B[:, None] + db
+    a_ok, b_ok = np.abs(a_new) <= n, (-n <= b_new) & (b_new <= 2 * n)
+    parent, ia, ib = np.nonzero(a_ok[:, :, None] & b_ok[:, None, :])
+    ka, kb = a_new[parent, ia], b_new[parent, ib]
+    claimed = np.sort(np.unique((ka + n) * (3 * n + 1) + (kb + n), return_index=True)[1])
+    parent, ia, ka, kb = parent[claimed], ia[claimed], ka[claimed], kb[claimed]
+    off_b = db[ib[claimed]]
+    slopes, inverse = np.unique(a_new, return_inverse=True)
+    width = np.array([delta * math.hypot(1.0, a * delta) for a in slopes.tolist()])
+    W = width[inverse.reshape(a_new.shape)][parent, ia]
+    aa, bb = ka * delta, B[parent] * delta
+    # The child columns of all parents laid end to end, q per parent column in
+    # column order, and the parent cells as sorted (parent, column, row) keys;
+    # col_keys holds the key of each child column's parent cell in row 0.
+    sizes = np.array([sh.cells.n_cells for sh in F.shadings], dtype=np.int64)
+    owner = np.repeat(np.arange(len(F), dtype=np.int64), sizes)
+    parent_codes = [np.empty(0, dtype=np.uint64), *(sh.cells.codes for sh in F.shadings)]
+    pi, pj = _decode(np.concatenate(parent_codes))
+    nr = F.scale.n
+    parent_keys = np.sort((owner * nr + pi) * nr + pj)
+    parent_cols = _sorted_unique(parent_keys // nr)
+    n_cols = np.bincount(parent_cols // nr, minlength=len(F)) * q
+    col_starts = np.cumsum(n_cols) - n_cols
+    col_keys = np.repeat(parent_cols * nr, q)
+    child_cols = _run_ranges(parent_cols % nr * q, np.full(parent_cols.size, q))
+    child_x = (child_cols + 0.5) * delta
+    key_a, key_b = ka.tolist(), kb.tolist()
     candidates: list[tuple[Line, CellSet]] = []
-    seen = set()
-    for line, sh in F.entries:
-        if line.chart != CHART_SHALLOW:
-            raise ConstructionError("case-2 bundling expects shallow-chart parents")
-        A, B = line.a_q * q, line.b_q * q
-        # Surviving (da, db) offsets in loop order (da-major); a key is claimed
-        # by the first parent that reaches it, even if its child ends up empty.
-        a_vals = [A + int(off_a) for off_a in da if abs(A + int(off_a)) <= n]
-        b_vals = [B + int(off_b) for off_b in db if -n <= B + int(off_b) <= 2 * n]
-        keys = [(a, b) for a in a_vals for b in b_vals if (a, b) not in seen]
-        if not keys:
-            continue
-        seen.update(keys)
-        pi, _ = sh.cells.ij()
-        cols = np.unique(pi)
-        child_cols = (cols[:, None] * q + np.arange(q, dtype=np.int64)[None, :]).ravel()
-        # (child x column) runs of tube rows: the db=0 tube of each key's
-        # slope, moved by db rows (shifting b by db*delta shifts them by db).
-        row_of = {a: i for i, a in enumerate(a_vals)}
-        ka = np.array([row_of[a] for a, _ in keys], dtype=np.int64)
-        kb = np.array([b - B for _, b in keys], dtype=np.int64)
-        aa = np.array(a_vals, dtype=np.int64) * delta
-        W = np.array([delta * math.hypot(1.0, a * delta) for a in a_vals])
-        x = (child_cols + 0.5) * delta
-        lo, lens = _row_spans(aa[ka, None], B * delta, W[ka, None], x, delta, n, kb[:, None])
-        child = np.repeat(np.arange(len(keys), dtype=np.int64), lens.sum(axis=1))
-        lo, lens = lo.ravel(), lens.ravel()
-        ci = np.repeat(np.tile(child_cols, len(keys)), lens)
-        codes = _encode(ci, np.repeat(lo, lens) + _run_offsets(lens))
-        pcode = _ancestor_codes(codes, shift)
-        inside = _member(sh.cells.codes, pcode)[0]
-        codes, child = codes[inside], child[inside]
-        order = np.lexsort((codes, child))
-        codes, child = codes[order], child[order]
-        # CellSet's checks for all children of this parent at once
-        _check_codes(codes, n, child[1:] == child[:-1])
-        ends = np.cumsum(np.bincount(child, minlength=len(keys))).tolist()
-        for (a_new, b_new), lo, hi in zip(keys, [0, *ends], ends):
-            if hi == lo:
-                continue
+    # (key x child column) entries in chunks of consecutive keys
+    for k0, k1 in _line_chunks(n_cols[parent], _BUNDLE_CHUNK):
+        per_key = n_cols[parent[k0:k1]]
+        col = _run_ranges(col_starts[parent[k0:k1]], per_key)
+        # runs of tube rows: the db = 0 tube of each key's slope, moved by db
+        # rows (shifting b by db*delta shifts them by db)
+        lo, lens = _row_spans(
+            *(np.repeat(v[k0:k1], per_key) for v in (aa, bb, W)),
+            child_x[col], delta, n, np.repeat(off_b[k0:k1], per_key),
+        )
+        # W <= sqrt(2) delta, so a column holds at most 3 rows lo..hi of a
+        # child tube, and as q >= 2 they lie in at most two parent rows,
+        # lo >> shift and hi >> shift: the rows whose parent cell is in the
+        # parent shading form one run, from first to last.
+        hi = lo + lens - 1
+        split = (hi >> shift) << shift
+        row0 = col_keys[col]
+        first = np.where(np.isin(row0 + (lo >> shift), parent_keys), lo, split)
+        last = np.where(np.isin(row0 + (hi >> shift), parent_keys), hi, split - 1)
+        lens = np.where(lens > 0, np.maximum(last - first + 1, 0), 0)
+        key = np.repeat(np.repeat(np.arange(k1 - k0), per_key), lens)
+        cols, rows = np.repeat(child_cols[col], lens), _run_ranges(first, lens)
+        # by child, then row: the cells of one child and row come in ascending
+        # column order, so this stable sort puts each child's codes in order
+        order = np.argsort(key * n + rows, kind="stable")
+        key, codes = key[order], _encode(cols[order], rows[order])
+        # CellSet's checks for all children of the chunk at once
+        _check_codes(codes, n, key[1:] == key[:-1])
+        counts = np.bincount(key, minlength=k1 - k0)
+        nonempty = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[nonempty]
+        starts = (ends - counts[nonempty]).tolist()
+        for c, start, end in zip(nonempty.tolist(), starts, ends.tolist()):
             try:
-                child_line = Line(new_scale, CHART_SHALLOW, a_new, b_new)
+                child_line = Line(new_scale, CHART_SHALLOW, key_a[k0 + c], key_b[k0 + c])
             except GeometryError:
                 continue
-            candidates.append((child_line, CellSet._from_sorted_codes(new_scale, codes[lo:hi])))
+            cells = CellSet._from_sorted_codes(new_scale, codes[start:end])
+            candidates.append((child_line, cells))
     if not candidates:
         raise ConstructionError("bundling produced no children")
     floor = max(1, max(c.n_cells for _, c in candidates) // 8)

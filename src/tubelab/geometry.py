@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _decode, _run_offsets, _sorted_counts, union_codes
+from .grid import CellSet, Scale, _decode, _run_ranges, _sorted_counts, union_codes
 
 __all__ = [
     "GeometryError",
@@ -142,14 +142,14 @@ def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:
     return (foot - u0) * nrm, (a * u - v + b) / nrm
 
 
-def _line_chunks(sizes: np.ndarray):
-    """[lo, hi) ranges of consecutive lines whose sizes sum to at most
-    _CHUNK_CELLS; a line larger than that gets a range of its own."""
+def _line_chunks(sizes: np.ndarray, limit: int = _CHUNK_CELLS):
+    """[lo, hi) ranges of consecutive items (lines, or the keys of a bundle)
+    whose sizes sum to at most limit; a larger item gets a range of its own."""
     ends = np.cumsum(sizes)
     lo = 0
     while lo < ends.size:
         start = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _CHUNK_CELLS, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, start + limit, side="right")))
         yield lo, hi
         lo = hi
 
@@ -215,7 +215,7 @@ def tube_cells(
     cols = np.arange(n, dtype=np.int64) if columns is None else np.asarray(columns, dtype=np.int64)
     lo, lens = _row_spans(line.a, line.b, w * line.nrm, (cols + 0.5) * d, d, n)
     u = np.repeat(cols, lens)
-    v = np.repeat(lo, lens) + _run_offsets(lens)
+    v = _run_ranges(lo, lens)
     if line.chart == CHART_SHALLOW:
         return CellSet.from_ij(scale, u, v)
     return CellSet.from_ij(scale, v, u)

@@ -141,10 +141,11 @@ def _ancestor_codes(codes: np.ndarray, shift: int) -> np.ndarray:
     return (((codes >> np.uint64(32)) >> up) << np.uint64(32)) | ((codes & _CODE_MASK) >> up)
 
 
-def _run_offsets(lens: np.ndarray) -> np.ndarray:
-    """Position of every element within its run, for runs of the given
-    non-negative lengths laid end to end: 0..lens[0]-1, 0..lens[1]-1, ..."""
-    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+def _run_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Runs of consecutive integers laid end to end: starts[0], ...,
+    starts[0] + lens[0] - 1, then starts[1], ... (lens non-negative)."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()), dtype=np.int64)
 
 
 def _run_heads(values: np.ndarray) -> np.ndarray:
@@ -353,8 +354,7 @@ class CellSet:
         else:
             lengths = runs[:, 2].astype(np.int64)
             j = np.repeat(runs[:, 0].astype(np.int64), lengths)
-            i0 = np.repeat(runs[:, 1].astype(np.int64), lengths)
-            cs = CellSet.from_ij(scale, i0 + _run_offsets(lengths), j)
+            cs = CellSet.from_ij(scale, _run_ranges(runs[:, 1].astype(np.int64), lengths), j)
         if cs.n_cells != count:
             raise GridError(f"cell count mismatch: header {count}, payload {cs.n_cells}")
         return cs

@@ -10,7 +10,14 @@ from functools import lru_cache
 import numpy as np
 
 from tubelab import CellSet, Line, LineFamily, Scale, Shading, tube_cells
-from tubelab.constructions import ConstructionError, _scale_of, bundle_offsets
+from tubelab.constructions import (
+    ConstructionError,
+    _cantor_points_2d,
+    _digit_schedule,
+    _katz_tao_caps,
+    _scale_of,
+    bundle_offsets,
+)
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError, tube_cell_count
 from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport
 
@@ -323,6 +330,81 @@ def reference_bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         (child, Shading(child, cells)) for child, cells in candidates if cells.n_cells >= floor
     ]
     return LineFamily(new_scale, tuple(entries))
+
+
+def _reference_cantor_positions_1d(
+    levels: int, target: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Integer positions of one 1-d self-similar set, one digit draw per level."""
+    schedule = _digit_schedule(levels, target, (1, 2))
+    pos = np.zeros(1, dtype=np.int64)
+    for kappa in schedule:
+        digs = np.array([int(rng.integers(2))] if kappa == 1 else [0, 1], dtype=np.int64)
+        pos = (pos[:, None] * 2 + digs[None, :]).reshape(-1)
+    return np.sort(pos)
+
+
+def _reference_nearest_tube_cells(line: Line, cols: np.ndarray, hits: dict | None) -> CellSet:
+    """One tube cell per requested column: the cell whose center is nearest
+    the line, skipping columns outside the square."""
+    scale = line.scale
+    d = scale.delta
+    n = scale.n
+    u0, u1 = line.param_range()
+    x = (cols + 0.5) * d
+    sel = (x >= u0 - d / 2) & (x <= u1 + d / 2)
+    cols, x = cols[sel], x[sel]
+    if cols.size == 0:
+        _hit(hits, "mid_column")
+        mid = (u0 + u1) / 2.0
+        cols = np.array([min(n - 1, max(0, int(mid / d)))], dtype=np.int64)
+        x = (cols + 0.5) * d
+    c = line.a * x + line.b
+    rows = np.clip(np.round(c / d - 0.5).astype(np.int64), 0, n - 1)
+    dist = np.abs(c - (rows + 0.5) * d)
+    sel = dist <= d * line.nrm + 1e-12
+    cols, rows = cols[sel], rows[sel]
+    if line.chart == CHART_SHALLOW:
+        return CellSet.from_ij(scale, cols, rows)
+    return CellSet.from_ij(scale, rows, cols)
+
+
+def _hit(hits: dict | None, name: str) -> None:
+    if hits is not None:
+        hits[name] = hits.get(name, 0) + 1
+
+
+def reference_build_base(
+    r: float, t: float, s: float, seed: int, chart: str = CHART_SHALLOW, hits: dict | None = None
+) -> LineFamily:
+    """build_base with its shadings built one line at a time.  hits, if given,
+    counts the branches taken: short lines skipped, mid-column fallbacks and
+    lines skipped for an empty shading."""
+    scale = _scale_of(r, "base scale r")
+    if r**-t < 4.0:
+        raise ConstructionError(f"infeasible base: r^-t = {r ** -t:.2f} < 4")
+    if not (0.0 < s <= 1.0):
+        raise ConstructionError(f"shading exponent {s} outside (0, 1]")
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    duals = _cantor_points_2d(scale.k, t, rng)
+    keep = _katz_tao_caps(r, t, 8.0).keep_mask(duals.astype(np.float64) * r)
+    duals = duals[keep]
+    entries = []
+    for a_q, b_q in duals:
+        line = Line(scale, chart, int(a_q), int(b_q))
+        u0, u1 = line.param_range()
+        if u1 - u0 < 0.5:
+            _hit(hits, "short_line")
+            continue
+        cols = _reference_cantor_positions_1d(scale.k, s, rng)
+        cells = _reference_nearest_tube_cells(line, cols, hits)
+        if cells.is_empty():
+            _hit(hits, "empty_shading")
+            continue
+        entries.append((line, Shading(line, cells)))
+    if not entries:
+        raise ConstructionError("base construction produced no usable lines")
+    return LineFamily(scale, tuple(entries))
 
 
 # Per-line density and two-ends constant, as they were before

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from tubelab import (
     CellSet,
     ConstructionError,
     GeometryError,
     GridError,
+    Line,
     LineFamily,
     Scale,
     Shading,
@@ -27,6 +29,7 @@ from tubelab import (
     tube_cells,
     union_shadings,
 )
+from tubelab import constructions
 from tubelab.constructions import (
     ConfigSpec,
     _cantor_points_2d,
@@ -35,11 +38,12 @@ from tubelab.constructions import (
     inverse_rescale_case1,
     measure_remark_bullets,
 )
-from tubelab.geometry import _CHUNK_CELLS, CHART_STEEP, _check_in_tube
+from tubelab.geometry import _CHUNK_CELLS, CHART_SHALLOW, CHART_STEEP, _check_in_tube
 from tubelab.grid import _check_codes
 
 from conftest import (
     random_family,
+    reference_build_base,
     reference_bundle_case2,
     reference_capped_accept,
     reference_katz_tao_levels,
@@ -91,6 +95,96 @@ def test_build_base_greedy_matches_reference(k, t, cap, seed):
     order = np.lexsort((pts[:, 0], pts[:, 1]))
     expected = reference_capped_accept(pts, reference_katz_tao_levels(r, t, cap), order)
     assert np.array_equal(_katz_tao_caps(r, t, cap).keep_mask(pts), expected)
+
+
+# build_base against its per-line oracle.  Two inputs are injected, into both
+# alike, to reach branches that real inputs rarely or never do.
+
+
+def _widen_short_frames(mp):
+    """Give every line shorter than 1/2 inside the square the parameter range
+    [0, 1].  Its columns past the square then have no cell within the tube,
+    so build_base reaches its empty-shading skip, which no real line does:
+    no line up to k = 5 that passes the length filter has a single column
+    whose nearest cell is dropped."""
+    init = Line.__post_init__
+
+    def post_init(self):
+        init(self)
+        if self.u1 - self.u0 < 0.5:
+            object.__setattr__(self, "u0", 0.0)
+            object.__setattr__(self, "u1", 1.0)
+
+    mp.setattr(Line, "__post_init__", post_init)
+
+
+def _corner_duals(mp):
+    """One dual point, whose line only cuts a corner of the square, so no line
+    is usable."""
+
+    def duals(levels, target, rng):
+        return np.array([[(1 << levels) - 1, (1 << levels) - 1]], dtype=np.int64)
+
+    mp.setattr(constructions, "_cantor_points_2d", duals)
+    mp.setattr(conftest, "_cantor_points_2d", duals)
+
+
+BASE_INPUTS = {"real": None, "wide_frames": _widen_short_frames, "corner_duals": _corner_duals}
+
+# (chart, rk, t, s, seed, inputs) and the branches each one reaches
+BASE_BRANCH_CASES = [
+    ((CHART_SHALLOW, 4, 1.5, 0.05, 405, "real"), {"short_line", "mid_column"}),
+    ((CHART_STEEP, 4, 1.5, 0.05, 405, "real"), {"short_line", "mid_column"}),
+    ((CHART_SHALLOW, 2, 1.5, 0.05, 9, "wide_frames"), {"empty_shading"}),
+    ((CHART_STEEP, 2, 1.0, 0.25, 11, "wide_frames"), {"empty_shading"}),
+    (
+        (CHART_SHALLOW, 3, 1.5, 0.5, 6, "corner_duals"),
+        {"short_line", "base construction produced no usable lines"},
+    ),
+]
+
+
+def _same_base(chart, rk, t, s, seed, inputs, hits=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if BASE_INPUTS[inputs] is not None:
+            BASE_INPUTS[inputs](mp)
+        try:
+            want = reference_build_base(2.0**-rk, t, s, seed, chart, hits)
+        except ConstructionError as exc:
+            with pytest.raises(ConstructionError) as got:
+                build_base(2.0**-rk, t, s, seed, chart)
+            assert str(got.value) == str(exc)
+            if hits is not None:
+                hits[str(exc)] = 1
+            return
+        _assert_same_family(build_base(2.0**-rk, t, s, seed, chart), want)
+
+
+def _with_branch_examples(test):
+    for case, _ in BASE_BRANCH_CASES:
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    chart=st.sampled_from([CHART_SHALLOW, CHART_STEEP]),
+    rk=st.integers(2, 5),
+    t=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.5, 2.0)),
+    s=st.sampled_from([0.05, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 10_000),
+    inputs=st.sampled_from(sorted(BASE_INPUTS)),
+)
+@_with_branch_examples
+def test_build_base_matches_reference(chart, rk, t, s, seed, inputs):
+    _same_base(chart, rk, t, s, seed, inputs)
+
+
+@pytest.mark.parametrize("case,branches", BASE_BRANCH_CASES)
+def test_build_base_examples_reach_their_branches(case, branches):
+    hits = {}
+    _same_base(*case, hits=hits)
+    assert branches <= set(hits), hits
 
 
 def test_build_base_infeasible():
@@ -319,6 +413,34 @@ def test_case2_bundle_matches_reference_on_wide_shadings(rk, m, n_lines, density
         entries.append((line, Shading(line, CellSet(line.scale, tube.codes[pick]))))
     for parent in (narrow, LineFamily(narrow.scale, tuple(entries))):
         _same_outcome(parent, 2.0 ** -(rk + m), t)
+
+
+def test_case2_bundle_matches_reference_across_chunks(monkeypatch):
+    # batches of a few dozen (key x column) entries hold two or three keys
+    # each, so every parent's keys span several batches, and parents whose
+    # bundles overlap meet keys that a batch before theirs has claimed
+    base = build_base(2.0**-3, 1.5, 0.5, seed=6)
+    delta, q = 2.0**-5, 4
+    n = round(1 / delta)
+    da, db = bundle_offsets(q, 1.5)
+    reach = [
+        {(ln.a_q * q + a, ln.b_q * q + b) for a in da.tolist() for b in db.tolist()
+         if abs(ln.a_q * q + a) <= n and -n <= ln.b_q * q + b <= 2 * n}
+        for ln in base.lines
+    ]
+    assert any(reach[i] & reach[j] for j in range(len(reach)) for i in range(j))
+    chunks = []
+    line_chunks = constructions._line_chunks
+
+    def spy(sizes, limit):
+        for lo, hi in line_chunks(sizes, limit):
+            chunks.append((lo, hi))
+            yield lo, hi
+
+    monkeypatch.setattr(constructions, "_BUNDLE_CHUNK", 40)
+    monkeypatch.setattr(constructions, "_line_chunks", spy)
+    _same_outcome(base, delta, 1.5)
+    assert len(chunks) > 4 * len(base)
 
 
 def test_batched_tube_check_raises_like_shading():
