@@ -436,7 +436,7 @@ def random_config(
     return LineFamily(scale, tuple(entries))
 
 
-def bush_config(delta: float, m: int = 32, full: bool = True) -> LineFamily:
+def bush_config(delta: float, m: int = 32) -> LineFamily:
     """m lines through the center of the square with spread slopes, fully shaded."""
     scale = _scale_of(delta, "delta")
     n = scale.n

@@ -112,13 +112,9 @@ class Line:
         u, v = (x, y) if self.chart == CHART_SHALLOW else (y, x)
         return abs(self.a * u - v + self.b) / self.nrm
 
-    def arc_and_offset(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Project points to (arclength from square entry, signed offset)."""
-        p = np.asarray(pts, dtype=np.float64)
-        return self.project(p[:, 0], p[:, 1])
-
     def project(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """arc_and_offset of the points given as coordinate arrays x and y."""
+        """Project the points with coordinate arrays x and y to (arclength
+        from square entry, signed offset)."""
         u, v = (x, y) if self.chart == CHART_SHALLOW else (y, x)
         return _arc_and_offset(u, v, self.a, self.b, self.u0, self.nrm)
 
@@ -157,7 +153,7 @@ def _line_chunks(sizes: np.ndarray, limit: int = _CHUNK_CELLS):
 def _cell_arcs_and_offsets(
     lines: Sequence["Line"], cellsets: Sequence[CellSet]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Line.arc_and_offset of the cell centers of cellsets[l] on lines[l] for
+    """Line.project of the cell centers of cellsets[l] on lines[l] for
     every l in one pass: flat arrays holding one run per line, in code order.
     The cell sets share one scale."""
     sizes = [c.n_cells for c in cellsets]
@@ -270,7 +266,7 @@ class Shading:
         return arc
 
     def arc_and_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line.arc_and_offset of the cell centers."""
+        """Line.project of the cell centers."""
         i, j = self.cells.ij()
         d = self.cells.scale.delta
         return self.line.project((i + 0.5) * d, (j + 0.5) * d)
@@ -466,7 +462,7 @@ def lines_in_tube(lines: Sequence[Line], core: Line, v: float) -> list[Line]:
         p0 = np.array([ln.point_at_param(u0), ln.point_at_param(u1)])
         d0 = core.distance(*p0[0])
         d1 = core.distance(*p0[1])
-        _, off = core.arc_and_offset(p0)
+        _, off = core.project(p0[:, 0], p0[:, 1])
         crosses = off[0] * off[1] <= 0.0
         if crosses or min(d0, d1) <= v:
             out.append(ln)

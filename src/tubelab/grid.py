@@ -10,9 +10,7 @@ for the small-instance oracle).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,11 +24,10 @@ __all__ = [
     "covering_count",
     "coarsen",
     "is_refinement",
+    "refine",
 ]
 
 _CODE_MASK = np.uint64(0xFFFFFFFF)
-_MAGIC = b"FLAB"
-_VERSION = 1
 
 
 class GridError(ValueError):
@@ -101,26 +98,13 @@ class ScaleLadder:
     def k(self) -> int:
         return self.m * self.N
 
-    @property
-    def delta(self) -> float:
-        return 2.0 ** (-self.k)
-
     def rho(self, j: int) -> float:
         if not 0 <= j <= self.N:
             raise GridError(f"ladder level {j} outside 0..{self.N}")
         return 2.0 ** (-self.m * j)
 
-    def levels(self) -> list[float]:
-        return [self.rho(j) for j in range(self.N + 1)]
-
     def compatible_with(self, scale: Scale) -> bool:
         return self.k == scale.k
-
-    @staticmethod
-    def for_scale(scale: Scale, m: int) -> "ScaleLadder":
-        if scale.k % m != 0:
-            raise GridError(f"k={scale.k} not divisible by m={m}")
-        return ScaleLadder(m=m, N=scale.k // m)
 
 
 def _encode(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -180,15 +164,27 @@ def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, 
     return sorted_codes[pos] == queries, pos
 
 
+def _as_indices(values) -> np.ndarray:
+    """values as an int64 array; a Python int past int64 lies past the grid too."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise GridError("cell indices out of bounds for the unit square") from None
+
+
+def _check_bounds(i: np.ndarray, j: np.ndarray, n: int) -> None:
+    """Every index pair (i, j) names a cell of the n x n grid."""
+    if i.size and (i.min() < 0 or i.max() >= n or j.min() < 0 or j.max() >= n):
+        raise GridError("cell indices out of bounds for the unit square")
+
+
 def _check_codes(codes: np.ndarray, n: int, runs: np.ndarray | None = None) -> None:
     """CellSet's invariants on n x n grid codes: every cell in bounds, and
     codes strictly increasing between neighbours where runs is True (all of
     them when runs is None), so several sets laid end to end are checked
     at once."""
     if codes.size:
-        i, j = _decode(codes)
-        if i.min() < 0 or i.max() >= n or j.min() < 0 or j.max() >= n:
-            raise GridError("cell indices out of bounds for the unit square")
+        _check_bounds(*_decode(codes), n)
         down = codes[1:] <= codes[:-1]
         if runs is not None:
             down &= runs
@@ -218,17 +214,14 @@ class CellSet:
 
     @staticmethod
     def from_ij(scale: Scale, i: np.ndarray, j: np.ndarray) -> "CellSet":
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        codes = _sorted_unique(_encode(i, j))
-        return CellSet(scale, codes)
+        i, j = _as_indices(i), _as_indices(j)
+        # _encode keeps 32 bits of i, so unchecked indices would wrap
+        _check_bounds(i, j, scale.n)
+        return CellSet(scale, _sorted_unique(_encode(i, j)))
 
     @staticmethod
     def from_cells(scale: Scale, cells: Iterable[tuple[int, int]]) -> "CellSet":
-        pairs = list(cells)
-        if not pairs:
-            return CellSet(scale, np.empty(0, dtype=np.uint64))
-        arr = np.asarray(pairs, dtype=np.int64)
+        arr = _as_indices(list(cells)).reshape(-1, 2)
         return CellSet.from_ij(scale, arr[:, 0], arr[:, 1])
 
     @staticmethod
@@ -273,11 +266,11 @@ class CellSet:
         for a, b in zip(i.tolist(), j.tolist()):
             yield (a, b)
 
-    def contains_code(self, code: int) -> bool:
-        return bool(_member(self.codes, np.uint64(code))[0])
-
     def contains_cell(self, i: int, j: int) -> bool:
-        return self.contains_code(int(_encode(np.int64(i), np.int64(j))))
+        n = self.scale.n
+        if not (0 <= i < n and 0 <= j < n):
+            return False
+        return bool(_member(self.codes, _encode(np.int64(i), np.int64(j)))[0])
 
     # -- set algebra (same scale) -----------------------------------------
 
@@ -296,12 +289,6 @@ class CellSet:
         small, big = sorted((self.codes, other.codes), key=len)
         return CellSet._from_sorted_codes(self.scale, small[_member(big, small)[0]])
 
-    def difference(self, other: "CellSet") -> "CellSet":
-        self._check_same_scale(other)
-        return CellSet._from_sorted_codes(
-            self.scale, np.setdiff1d(self.codes, other.codes, assume_unique=True)
-        )
-
     def issubset(self, other: "CellSet") -> bool:
         self._check_same_scale(other)
         if self.codes.size > other.codes.size:
@@ -318,53 +305,9 @@ class CellSet:
 
     # -- serialization -----------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Run-length-encoded row-major binary with a 16-byte header."""
-        header = struct.pack("<4sHHQ", _MAGIC, _VERSION, self.scale.k, self.n_cells)
-        if self.n_cells == 0:
-            return header
-        i, j = self.ij()
-        # Runs of consecutive i within a row; codes are row-major so a break
-        # is any step where code does not increase by exactly 1.
-        breaks = np.flatnonzero(np.diff(self.codes) != 1)
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [self.codes.size - 1]])
-        runs = np.empty((starts.size, 3), dtype=np.uint32)
-        runs[:, 0] = j[starts]
-        runs[:, 1] = i[starts]
-        runs[:, 2] = ends - starts + 1
-        return header + runs.tobytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "CellSet":
-        if len(data) < 16:
-            raise GridError("truncated cell-set blob")
-        magic, version, k, count = struct.unpack("<4sHHQ", data[:16])
-        if magic != _MAGIC:
-            raise GridError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise GridError(f"unsupported version {version}")
-        scale = Scale(k)
-        payload = np.frombuffer(data[16:], dtype=np.uint32)
-        if payload.size % 3 != 0:
-            raise GridError("malformed run payload")
-        runs = payload.reshape(-1, 3)
-        if runs.size == 0:
-            cs = CellSet(scale, np.empty(0, dtype=np.uint64))
-        else:
-            lengths = runs[:, 2].astype(np.int64)
-            j = np.repeat(runs[:, 0].astype(np.int64), lengths)
-            cs = CellSet.from_ij(scale, _run_ranges(runs[:, 1].astype(np.int64), lengths), j)
-        if cs.n_cells != count:
-            raise GridError(f"cell count mismatch: header {count}, payload {cs.n_cells}")
-        return cs
-
     def to_json_obj(self) -> dict:
         i, j = self.ij()
         return {"k": self.scale.k, "cells": [[int(a), int(b)] for a, b in zip(i, j)]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CellSet":

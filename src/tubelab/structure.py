@@ -26,8 +26,8 @@ from .grid import (
     coarsen,
     covering_count,
 )
-from .geometry import Line, LineFamily, Shading, _greedy_windows, segment_count
-from .measures import TripledCaps, frostman_constant_1d, katz_tao_constant
+from .geometry import Line, LineFamily, Shading, _greedy_windows, multiplicity, segment_count
+from .measures import TripledCaps, frostman_constant_1d, gamma, katz_tao_constant
 
 __all__ = [
     "StructureError",
@@ -92,14 +92,6 @@ class RefinementTrace:
         for s in self.steps:
             out *= s.constant
         return out
-
-    def format_text(self) -> str:
-        lines = [
-            f"[{n}] {s.description}: kept {s.kept_fraction:.6g} (bound {s.constant:.3g})"
-            for n, s in enumerate(self.steps)
-        ]
-        lines.append(f"overall kept fraction {self.overall_fraction():.6g}")
-        return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
         return {
@@ -234,9 +226,6 @@ class BranchingFunction:
         step = 2.0 * self.ladder.m / self.ladder.k
         if np.any(np.diff(vals) > step + 1e-12):
             raise StructureError("branching increment exceeds the planar doubling bound")
-
-    def value_at(self, x: float) -> float:
-        return float(np.interp(x, np.arange(self.ladder.N + 1), self.values))
 
     def quantum(self) -> float:
         """One ladder quantum of beta: 1/log(1/delta)."""
@@ -593,8 +582,6 @@ def _direction_positions(F: LineFamily, idxs: Sequence[int]) -> np.ndarray:
 def broad_narrow(F: LineFamily, x: tuple[int, int]) -> BroadNarrowResult:
     """Find the angular scale at which the lines through x split into two
     separated sub-families, or certify that they stay narrow."""
-    from .geometry import multiplicity
-
     idxs = multiplicity(F, x)
     if len(idxs) < 2:
         raise StructureError("broad-narrow undefined for fewer than two lines")
@@ -757,8 +744,6 @@ def verify_shading_multiscale(
     """Check the two conclusions of the multiscale selection: gamma does not
     grow by more than a factor 64 under coarsening, and each coarse segment's
     dilated slice is an (delta/r, s)-set with the stated slack."""
-    from .measures import gamma
-
     d = F.scale.delta
     r = res.r
     if r <= d * (1.0 + 1e-12):

@@ -76,7 +76,7 @@ PARAMS = {
         "bundle_offsets": "q, t, seed",
         "bundle_case2": "F, delta, t",
         "random_config": "delta, t, s, lambda_target, seed, max_lines",
-        "bush_config": "delta, m, full",
+        "bush_config": "delta, m",
         "grid_config": "delta, side",
         "build_config": "spec",
         "measure_remark_bullets": "F, t, s",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tubelab import (
     CellSet,
     GeometryError,
+    GridError,
     Line,
     LineFamily,
     Scale,
@@ -227,7 +228,7 @@ def test_tube_check_on_the_slack_boundary(k):
                         continue
                     flip = (lambda u, v: (u, v)) if chart == CHART_SHALLOW else (lambda u, v: (v, u))
                     cells = CellSet.from_cells(sc, [flip(ci, cj)])
-                    off = abs(line.arc_and_offset(cells.centers())[1][0])
+                    off = abs(line.project(*cells.centers().T)[1][0])
                     bound = 2 * sc.delta * math.hypot(1.0, line.a)
                     assert bound * (1 - 1e-15) <= off <= bound
                     Shading(line, cells)
@@ -475,6 +476,16 @@ def test_family_json_roundtrip_ints_only():
     back = LineFamily.from_json_obj(json.loads(json.dumps(obj)))
     assert len(back) == len(fam)
     assert union_shadings(back) == union_shadings(fam)
+
+
+@pytest.mark.parametrize("shift", [(2**32, 0), (0, 2**32), (2**64, 0)])
+def test_family_json_rejects_indices_that_would_wrap(shift):
+    # a cell index 2**32 past a real cell must not load as that cell
+    obj = random_family(np.random.default_rng(19), 6, 5, density=0.4).to_json_obj()
+    i, j = obj["lines"][0]["cells"][0]
+    obj["lines"][0]["cells"][0] = [i + shift[0], j + shift[1]]
+    with pytest.raises(GridError, match="out of bounds"):
+        LineFamily.from_json_obj(obj)
 
 
 def test_family_rejects_duplicate_lines():

@@ -25,11 +25,9 @@ def test_scale_invariants():
 def test_ladder_nesting():
     lad = ScaleLadder(m=2, N=4)
     assert lad.M == 4 and lad.k == 8
-    assert lad.levels() == [1.0, 0.25, 0.0625, 0.015625, 0.00390625]
+    assert [lad.rho(j) for j in range(lad.N + 1)] == [1.0, 0.25, 0.0625, 0.015625, 0.00390625]
     assert lad.compatible_with(Scale(8))
     assert not lad.compatible_with(Scale(6))
-    with pytest.raises(GridError):
-        ScaleLadder.for_scale(Scale(7), m=2)
 
 
 def test_cellset_basics():
@@ -40,6 +38,25 @@ def test_cellset_basics():
     assert E.contains_cell(3, 2) and not E.contains_cell(1, 1)
     with pytest.raises(GridError):
         CellSet.from_cells(sc, [(16, 0)])
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(2**32, 0), (1, 2**32), (2**32 + 2, 3), (-1, 0), (0, -(2**32)), (2**64, 0), (0, -(2**63) - 1)],
+)
+def test_cellset_rejects_indices_that_would_wrap(cell):
+    # codes keep 32 bits per index, so (2**32, 0) would become (0, 1)
+    with pytest.raises(GridError, match="out of bounds"):
+        CellSet.from_cells(Scale(3), [(1, 1), cell])
+    with pytest.raises(GridError, match="out of bounds"):
+        CellSet.from_ij(Scale(3), [1, cell[0]], [1, cell[1]])
+
+
+def test_contains_cell_outside_the_grid():
+    E = CellSet.from_cells(Scale(3), [(3, 2), (0, 0)])
+    assert E.contains_cell(3, 2) and E.contains_cell(0, 0)
+    for i, j in [(3, 2 + 2**32), (3 + 2**32, 2), (2**32, 0), (-1, 0), (8, 0), (0, 8)]:
+        assert not E.contains_cell(i, j)
 
 
 def test_cellset_rejects_unsorted_or_duplicate_codes():
@@ -209,29 +226,10 @@ def test_dyadic_count_vs_minimal_ball_cover():
 # -- serialization -------------------------------------------------------------------
 
 
-def test_bytes_roundtrip_and_header():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        E = random_cellset(rng, 6, 0.15)
-        blob = E.to_bytes()
-        assert blob[:4] == b"FLAB"
-        assert CellSet.from_bytes(blob) == E
-    empty = CellSet.from_cells(Scale(3), [])
-    assert CellSet.from_bytes(empty.to_bytes()) == empty
-
-
-def test_bytes_rejects_garbage():
-    with pytest.raises(GridError):
-        CellSet.from_bytes(b"NOPE" + b"\x00" * 12)
-    E = CellSet.from_cells(Scale(3), [(1, 1)])
-    with pytest.raises(GridError):
-        CellSet.from_bytes(E.to_bytes()[:10])
-
-
 def test_json_roundtrip():
     rng = np.random.default_rng(8)
     E = random_cellset(rng, 5, 0.2)
-    obj = json.loads(E.to_json())
+    obj = json.loads(json.dumps(E.to_json_obj()))
     assert obj["k"] == 5
     assert CellSet.from_json_obj(obj) == E
 

@@ -185,6 +185,20 @@ def test_cli_generate_and_verify_family_input(tmp_path):
     assert code == 0
 
 
+def test_cli_measure_rejects_family_cells_past_the_grid(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, kind="bush", delta=2.0**-6, t=1.0)
+    gen = tmp_path / "gen"
+    assert run_cli(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    obj = json.loads((gen / "family.json").read_text())
+    i, j = obj["lines"][0]["cells"][0]
+    obj["lines"][0]["cells"][0] = [i + 2**32, j]  # 32-bit codes would wrap this onto (i, j)
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["measure", "--config", cfg, "--family", str(bad), "--out", str(tmp_path / "m")]
+    assert run_cli(argv) == 2
+    assert "out of bounds" in capsys.readouterr().err
+
+
 def test_cli_measure_and_decompose(tmp_path):
     cfg = _write_cfg(tmp_path, kind="random", delta=2.0**-6, t=1.0, seed=3)
     out = tmp_path / "m"

@@ -1,0 +1,50 @@
+"""The public surface of tubelab: each module's __all__, the names the package
+re-exports, and the runtime dependencies (numpy only; scipy is installed in
+some environments but not declared, so the package must not import it)."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import tubelab
+
+SRC = Path(tubelab.__file__).resolve().parent
+MODULES = ("grid", "geometry", "measures", "structure", "constructions", "lab")
+
+
+@pytest.mark.parametrize("mod_name", MODULES)
+def test_every_name_in_all_resolves(mod_name):
+    mod = importlib.import_module(f"tubelab.{mod_name}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"tubelab.{mod_name}.__all__ names missing members: {missing}"
+
+
+def test_reexports_are_in_their_modules_all():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    outside = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"tubelab.{node.module}").__all__
+            outside += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if not alias.name.startswith("_") and alias.name not in exported
+            ]
+    assert not outside, f"re-exported but not in the module's __all__: {outside}"
+
+
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "scipy" in roots:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"scipy imported at {offenders}"
