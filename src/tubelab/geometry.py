@@ -345,12 +345,24 @@ class LineFamily:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LineFamily":
-        scale = Scale(int(obj["k"]))
+        try:  # a non-numeric string where an integer belongs
+            k = int(obj["k"])
+            recs = [
+                (
+                    rec["chart"],
+                    int(rec["a_q"]),
+                    int(rec["b_q"]),
+                    [(int(c[0]), int(c[1])) for c in rec["cells"]],
+                )
+                for rec in obj["lines"]
+            ]
+        except ValueError as exc:
+            raise GeometryError(f"malformed family: {exc}") from None
+        scale = Scale(k)
         entries = []
-        for rec in obj["lines"]:
-            line = Line(scale, rec["chart"], int(rec["a_q"]), int(rec["b_q"]))
-            cells = CellSet.from_cells(scale, [(int(c[0]), int(c[1])) for c in rec["cells"]])
-            entries.append((line, Shading(line, cells)))
+        for chart, a_q, b_q, cells in recs:
+            line = Line(scale, chart, a_q, b_q)
+            entries.append((line, Shading(line, CellSet.from_cells(scale, cells))))
         return LineFamily(scale, tuple(entries))
 
 
@@ -415,6 +427,19 @@ def _greedy_windows(pos: np.ndarray, r: float) -> list[int]:
         starts.append(idx)
         idx = hop[idx]
     return starts
+
+
+def _greedy_count_below(pos: np.ndarray, r: float, bound: float) -> bool:
+    """segment_count(pos, r) < bound, walking the windows of _greedy_windows
+    one scalar searchsorted each and stopping once the count reaches bound."""
+    count = 0
+    idx = 0
+    while idx < pos.size:
+        count += 1
+        if count >= bound:
+            return False
+        idx = int(np.searchsorted(pos, pos[idx] + r, side="right"))
+    return True
 
 
 def segment_count(positions: np.ndarray, r: float) -> int:

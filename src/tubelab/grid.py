@@ -217,7 +217,7 @@ class CellSet:
         i, j = _as_indices(i), _as_indices(j)
         # _encode keeps 32 bits of i, so unchecked indices would wrap
         _check_bounds(i, j, scale.n)
-        return CellSet(scale, _sorted_unique(_encode(i, j)))
+        return CellSet._from_sorted_codes(scale, _sorted_unique(_encode(i, j)))
 
     @staticmethod
     def from_cells(scale: Scale, cells: Iterable[tuple[int, int]]) -> "CellSet":

@@ -26,7 +26,7 @@ from .grid import (
     coarsen,
     covering_count,
 )
-from .geometry import Line, LineFamily, Shading, _greedy_windows, multiplicity, segment_count
+from .geometry import Line, LineFamily, Shading, _greedy_count_below, _greedy_windows, multiplicity
 from .measures import TripledCaps, frostman_constant_1d, gamma, katz_tao_constant
 
 __all__ = [
@@ -338,6 +338,25 @@ def _validate_profile(xs: np.ndarray, ys: np.ndarray) -> None:
         raise DecompositionError("profile violates the 1-Lipschitz bound")
 
 
+def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """Indices of the monotone-chain lower hull of the samples, dropping a
+    point where the chain turns by a cross product of at most 1e-15.  It runs
+    on Python floats: the same IEEE double arithmetic as on numpy scalars,
+    without a numpy scalar per lookup."""
+    xl, yl = xs.tolist(), ys.tolist()
+    hull: list[int] = []
+    for idx, (x2, y2) in enumerate(zip(xl, yl)):
+        while len(hull) >= 2:
+            x0, y0 = xl[hull[-2]], yl[hull[-2]]
+            x1, y1 = xl[hull[-1]], yl[hull[-1]]
+            if (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) <= 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    return hull
+
+
 def multiscale_decompose(f, eta: float) -> MultiscalePartition:
     """Partition [0,1] into blocks on which the profile is nearly affine with
     strictly increasing slopes.
@@ -355,18 +374,8 @@ def multiscale_decompose(f, eta: float) -> MultiscalePartition:
     eta0 = eta ** (2.0 / eta)
     min_len = eta0 / eta
 
-    hull: list[int] = []
-    for idx in range(xs.size):
-        while len(hull) >= 2:
-            x0, y0 = xs[hull[-2]], ys[hull[-2]]
-            x1, y1 = xs[hull[-1]], ys[hull[-1]]
-            if (x1 - x0) * (ys[idx] - y0) - (y1 - y0) * (xs[idx] - x0) <= 1e-15:
-                hull.pop()
-            else:
-                break
-        hull.append(idx)
-
-    A = xs[hull].copy()
+    hull = _lower_hull(xs, ys)
+    A = xs[hull]
     slopes = np.diff(ys[hull]) / np.diff(A)
 
     # Merge blocks shorter than the minimum length (only possible when the
@@ -443,7 +452,7 @@ def two_ends_scale(Y: Shading, v: float, C: float) -> float:
         warnings.warn("two-ends reduction on a non-uniform shading", stacklevel=2)
     for level in range(k + 1):
         r = d * (1 << level)
-        if segment_count(pos, r) < (r**-v) / C:
+        if _greedy_count_below(pos, r, (r**-v) / C):
             return r
     return 1.0
 
@@ -688,12 +697,16 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
         branch = "shallow"
         r = r0
         cand = r0
+        # every candidate scale tests the same positions against the same
+        # r0 window centres
+        positions = [sh.arc_positions() for _, sh in F.entries]
+        centres = [
+            _sorted_unique(np.floor(pos / r0).astype(np.int64)) * r0 + r0 / 2.0 for pos in positions
+        ]
         while cand * 2.0 <= 1.0:
             cand *= 2.0
             good = True
-            for _, sh in F.entries:
-                pos = sh.arc_positions()
-                win = _sorted_unique(np.floor(pos / r0).astype(np.int64)) * r0 + r0 / 2.0
+            for pos, win in zip(positions, centres):
                 lo = np.searchsorted(win, pos - cand, side="left")
                 hi = np.searchsorted(win, pos + cand, side="right")
                 if np.min(hi - lo) < (cand / r0) ** t - 1e-9:
@@ -707,8 +720,7 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
             s_out = s_H
         else:
             ratios = []
-            for _, sh in F.entries:
-                pos = sh.arc_positions()
+            for pos in positions:
                 n_d = _aligned_counts(pos, d)
                 n_r = _aligned_counts(pos, r)
                 ratios.append(math.log2(max(n_d, 1) / max(n_r, 1)) / math.log2(r / d))

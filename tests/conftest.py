@@ -665,6 +665,34 @@ def reference_segment_count(positions: np.ndarray, r: float) -> int:
     return count
 
 
+def reference_two_ends_scale(Y: Shading, v: float, C: float) -> float:
+    """The least dyadic r with |Y|_r < C^-1 r^-v, from the full greedy count
+    at every level; 1.0 when no scale qualifies."""
+    pos = Y.arc_positions()
+    d = Y.cells.scale.delta
+    for level in range(Y.cells.scale.k + 1):
+        r = d * (1 << level)
+        if reference_segment_count(pos, r) < (r**-v) / C:
+            return r
+    return 1.0
+
+
+def reference_lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """Monotone-chain lower hull indices on numpy scalars, one element lookup
+    per coordinate; a turn with cross product <= 1e-15 drops the middle point."""
+    hull: list[int] = []
+    for idx in range(xs.size):
+        while len(hull) >= 2:
+            x0, y0 = xs[hull[-2]], ys[hull[-2]]
+            x1, y1 = xs[hull[-1]], ys[hull[-1]]
+            if (x1 - x0) * (ys[idx] - y0) - (y1 - y0) * (xs[idx] - x0) <= 1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(idx)
+    return hull
+
+
 def reference_segment_cover(Y: Shading, r: float) -> list[tuple[float, float, float]]:
     """(t0, r, width) of each segment of the greedy cover, left to right."""
     d = Y.cells.scale.delta

@@ -199,6 +199,23 @@ def test_cli_measure_rejects_family_cells_past_the_grid(tmp_path, capsys):
     assert "out of bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["k", "cell"])
+def test_cli_measure_rejects_non_integer_family_fields(tmp_path, capsys, field):
+    cfg = _write_cfg(tmp_path, kind="bush", delta=2.0**-6, t=1.0)
+    gen = tmp_path / "gen"
+    assert run_cli(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    obj = json.loads((gen / "family.json").read_text())
+    if field == "k":
+        obj["k"] = "six"
+    else:
+        obj["lines"][0]["cells"][0] = ["x", 1]
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["measure", "--config", cfg, "--family", str(bad), "--out", str(tmp_path / "m")]
+    assert run_cli(argv) == 2
+    assert "malformed family" in capsys.readouterr().err
+
+
 def test_cli_measure_and_decompose(tmp_path):
     cfg = _write_cfg(tmp_path, kind="random", delta=2.0**-6, t=1.0, seed=3)
     out = tmp_path / "m"

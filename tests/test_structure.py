@@ -29,13 +29,14 @@ from tubelab import (
     uniformize,
     verify_decomposition,
 )
-from tubelab.geometry import angle_between, union_shadings
+from tubelab.geometry import _greedy_count_below, angle_between, union_shadings
 from tubelab.measures import gamma, katz_tao_constant
 from tubelab.structure import (
     DecompositionError,
     MultiscalePartition,
     ShadingMultiscaleResult,
     StructureError,
+    _lower_hull,
     _shading_uniformity_error,
     shading_window_counts,
     uniformity_error,
@@ -49,9 +50,12 @@ from conftest import (
     random_line,
     random_shading,
     reference_capped_accept,
+    reference_lower_hull,
     reference_rich_point_refine,
+    reference_segment_count,
     reference_shading_uniformity_error,
     reference_subsample_levels,
+    reference_two_ends_scale,
     reference_uniformity_error,
     reference_uniformize,
 )
@@ -306,6 +310,57 @@ def test_decompose_random_profiles_all_pass():
             assert took < 0.05
 
 
+def _lipschitz_samples(
+    rng: np.random.Generator, n: int, runs: int, uniform_x: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """A monotone 1-Lipschitz profile of n samples on [0, 1] made of `runs`
+    runs: flat (slope 0), collinear (one slope), nearly collinear
+    (one slope, nudged per step by 1e-14..1e-8, so turns straddle the hull's
+    1e-15 tolerance) or jittered (a fresh slope per step); non-uniform
+    abscissae may sit very close together."""
+    if uniform_x:
+        xs = np.linspace(0.0, 1.0, n)
+    else:
+        xs = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)]))
+    steps = xs.size - 1
+    cuts = np.sort(rng.integers(0, steps + 1, runs - 1))
+    slopes = np.empty(steps)
+    for lo, hi in zip([0, *cuts], [*cuts, steps]):
+        kind = rng.integers(4)
+        if kind == 0:
+            slopes[lo:hi] = 0.0
+        elif kind == 1:
+            slopes[lo:hi] = rng.choice([1.0, 0.5, rng.uniform(0.0, 1.0)])
+        elif kind == 2:
+            nudge = rng.uniform(-1.0, 1.0, hi - lo) * 10.0 ** rng.uniform(-14.0, -8.0)
+            slopes[lo:hi] = np.clip(rng.uniform(0.0, 1.0) + nudge, 0.0, 1.0)
+        else:
+            slopes[lo:hi] = rng.uniform(0.0, 1.0, hi - lo)
+    ys = np.minimum(np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))]), 1.0)
+    return xs, ys
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 300),
+    runs=st.integers(1, 6),
+    uniform_x=st.booleans(),
+    eta=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_decompose_matches_reference_hull(n, runs, uniform_x, eta, seed):
+    xs, ys = _lipschitz_samples(np.random.default_rng(seed), n, runs, uniform_x)
+    hull = reference_lower_hull(xs, ys)
+    assert _lower_hull(xs, ys) == hull
+    P = multiscale_decompose(ys if uniform_x else (xs, ys), eta)
+    A_ref = xs[hull].tolist()
+    # merging short blocks and equal slopes only drops interior breakpoints
+    A = P.A.tolist()
+    assert A[0] == A_ref[0] and A[-1] == A_ref[-1] and set(A) <= set(A_ref)
+    if len(A) == len(A_ref):
+        assert P.s.tolist() == np.clip(np.diff(ys[hull]) / np.diff(xs[hull]), 0.0, 1.0).tolist()
+
+
 def test_decompose_rejects_bad_profiles():
     with pytest.raises(DecompositionError):
         multiscale_decompose(np.array([0.0, 0.5, 0.2, 1.0]), 0.1)  # not monotone
@@ -362,6 +417,56 @@ def test_two_ends_scale_warns_on_lumpy_shading():
     sh = _horizontal_shading(8, np.concatenate([np.arange(17), [250]]))
     with pytest.warns(UserWarning, match="non-uniform"):
         two_ends_scale(sh, 0.1, 1.0)
+
+
+def _lumpy_shading(rng: np.random.Generator, k: int, density: float, runs: int) -> Shading:
+    """A random shading of a random line's tube; with runs > 0 only cells in
+    `runs` stretches of the tube (in arclength order) are kept."""
+    line = random_line(rng, Scale(k))
+    if runs == 0:
+        return random_shading(rng, line, density)
+    tube = tube_cells(line, line.scale.delta)
+    order = np.argsort(Shading(line, tube).arc_and_offset()[0], kind="stable")
+    block = max(1, round(density * tube.n_cells / runs))
+    keep = np.zeros(tube.n_cells, dtype=bool)
+    for start in rng.integers(0, tube.n_cells, runs).tolist():
+        keep[order[start : start + block]] = True
+    return Shading(line, CellSet(line.scale, tube.codes[keep]))
+
+
+@pytest.mark.filterwarnings("ignore:two-ends reduction")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 12),
+    density=st.floats(0.01, 1.0),
+    runs=st.integers(0, 4),
+    v=st.floats(0.01, 0.99),
+    C=st.floats(1.0, 8.0),
+    level=st.integers(0, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_two_ends_scale_matches_reference(k, density, runs, v, C, level, seed):
+    sh = _lumpy_shading(np.random.default_rng(seed), k, density, runs)
+    pos = sh.arc_positions()
+    r = sh.cells.scale.delta * (1 << min(level, k))
+    m = reference_segment_count(pos, r)
+    for bound in (m - 1, m - 0.5, m, m + 0.5, m + 1):  # on and next to the integer count
+        assert _greedy_count_below(pos, r, bound) == (m < bound)
+    # the second C puts the bound at scale r on the count m (up to rounding)
+    for c in (C, max(1.0, r**-v / m)):
+        assert two_ends_scale(sh, v, c) == reference_two_ends_scale(sh, v, c)
+
+
+@pytest.mark.filterwarnings("ignore:two-ends reduction")
+def test_two_ends_scale_stops_on_an_integer_bound():
+    # four runs of 16 cells: at r = 2^-4 there are 4 windows and r^-0.5 = 4
+    # exactly, so r = 2^-4 must not qualify; finer scales have at least
+    # r^-0.5 windows and coarser ones more than r^-0.5, so none qualifies
+    sh = _horizontal_shading(8, np.concatenate([np.arange(c, c + 16) for c in (0, 80, 160, 240)]))
+    pos = sh.arc_positions()
+    assert reference_segment_count(pos, 2.0**-4) == 4 and (2.0**-4) ** -0.5 == 4.0
+    assert not _greedy_count_below(pos, 2.0**-4, 4.0)
+    assert two_ends_scale(sh, 0.5, 1.0) == reference_two_ends_scale(sh, 0.5, 1.0) == 1.0
 
 
 @pytest.mark.filterwarnings("ignore:two-ends reduction")
