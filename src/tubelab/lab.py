@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -345,16 +345,38 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _config_value(cfg: dict, key: str, default, kind: Callable = float):
+    """kind(cfg[key]), or kind(default) when key is absent; a value that does
+    not convert is a LabError naming the key."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise LabError(f"config value {key!r} is malformed: {value!r}") from None
+
+
+def _config_scale(value) -> float:
+    """A scale in a config: a number or a "2^-k" string, as on the command line."""
+    return _parse_scale(value) if isinstance(value, str) else float(value)
+
+
+def _config_scales(values) -> list[float]:
+    """A config list of scales (a string is not such a list)."""
+    if isinstance(values, str):
+        raise ValueError(values)
+    return [_config_scale(v) for v in values]
+
+
 def _spec_from(cfg: dict) -> ConfigSpec:
     return ConfigSpec(
-        delta=float(cfg.get("delta", 2.0**-8)),
-        t=float(cfg.get("t", 1.0)),
-        s=float(cfg.get("s", 1.0)),
-        r=float(cfg.get("r", 2.0**-4)),
-        seed=int(cfg.get("seed", 0)),
+        delta=_config_value(cfg, "delta", 2.0**-8, _config_scale),
+        t=_config_value(cfg, "t", 1.0),
+        s=_config_value(cfg, "s", 1.0),
+        r=_config_value(cfg, "r", 2.0**-4, _config_scale),
+        seed=_config_value(cfg, "seed", 0, int),
         kind=str(cfg.get("kind", "random")),
-        lambda_target=float(cfg.get("lambda", cfg.get("lambda_target", 1.0))),
-        max_lines=int(cfg.get("max_lines", 2048)),
+        lambda_target=_config_value(cfg, "lambda" if "lambda" in cfg else "lambda_target", 1.0),
+        max_lines=_config_value(cfg, "max_lines", 2048, int),
     )
 
 
@@ -398,7 +420,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
     if getattr(args, "max_lines", None) is not None:
         cfg["max_lines"] = args.max_lines
     if getattr(args, "deltas", None) is not None:
-        cfg["deltas"] = [_parse_scale(v) for v in args.deltas.split(",")]
+        try:
+            cfg["deltas"] = [_parse_scale(v) for v in args.deltas.split(",")]
+        except ValueError:
+            raise LabError(f"--deltas is malformed: {args.deltas!r}") from None
     return cfg
 
 
@@ -433,8 +458,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _merged_config(args)
-        eps1 = float(cfg.get("eps1", 0.1))
-        eps2 = float(cfg.get("eps2", 0.05))
+        eps1 = _config_value(cfg, "eps1", 0.1)
+        eps2 = _config_value(cfg, "eps2", 0.05)
 
         if args.command == "generate":
             spec = _spec_from(cfg)
@@ -474,8 +499,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         if args.command == "decompose":
             if "f" not in cfg:
                 raise LabError('decompose needs "f": [samples] in the config')
-            eta = float(cfg.get("eta", 0.1))
-            samples = np.asarray(cfg["f"], dtype=np.float64)
+            eta = _config_value(cfg, "eta", 0.1)
+            samples = _config_value(cfg, "f", None, lambda f: np.asarray(f, dtype=np.float64))
             part = multiscale_decompose(samples, eta)
             ok, msg = verify_decomposition(samples, eta, part)
             _write_json(
@@ -499,7 +524,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
         if args.command == "sweep":
             spec = _spec_from(cfg)
-            deltas = [float(v) for v in cfg.get("deltas", [])]
+            deltas = _config_value(cfg, "deltas", [], _config_scales)
             if not deltas:
                 raise LabError('sweep needs "deltas" in the config or --deltas')
             result = sweep(spec, deltas, eps1, eps2)

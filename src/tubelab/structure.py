@@ -20,14 +20,20 @@ from .grid import (
     GridError,
     Scale,
     ScaleLadder,
-    _member,
     _run_heads,
     _sorted_unique,
     coarsen,
     covering_count,
 )
 from .geometry import Line, LineFamily, Shading, _greedy_count_below, _greedy_windows, multiplicity
-from .measures import TripledCaps, frostman_constant_1d, gamma, katz_tao_constant
+from .measures import (
+    MeasureError,
+    TripledCaps,
+    _as_points,
+    _tripled_max,
+    frostman_constant_1d,
+    gamma,
+)
 
 __all__ = [
     "StructureError",
@@ -258,9 +264,19 @@ def branching(E: CellSet, ladder: ScaleLadder) -> BranchingFunction:
 
 def shading_window_counts(Y: Shading, ladder: ScaleLadder) -> np.ndarray:
     """Occupied aligned arclength windows of Y per ladder level (1-d covering
-    counts; within a factor 2 of the greedy segment cover)."""
-    pos = Y.arc_positions()
-    return np.array([_aligned_counts(pos, ladder.rho(j)) for j in range(ladder.N + 1)])
+    counts; within a factor 2 of the greedy segment cover).
+
+    The sorted positions are floored once at the finest width; each coarser
+    level shifts the distinct window indices right by m bits, which is exact
+    since floor(x / 2) = floor(floor(x) / 2) and >> floors negative indices.
+    """
+    idx = np.floor(Y.arc_positions() / ladder.rho(ladder.N)).astype(np.int64)
+    counts = np.empty(ladder.N + 1, dtype=np.int64)
+    for j in range(ladder.N, -1, -1):
+        idx = idx[_run_heads(idx)]
+        counts[j] = idx.size
+        idx >>= ladder.m
+    return counts
 
 
 def common_branching(
@@ -487,11 +503,27 @@ def katz_tao_subsample(E, rho: float, s: float, delta: float | None = None):
     if not (d < rho < 1.0):
         raise StructureError(f"rho {rho} outside (delta, 1)")
     polylog = math.log2(1.0 / d) ** 2
-    pre = katz_tao_constant(E if is_cellset else pts, s, delta=None if is_cellset else d)
-    if pre.constant > polylog:
-        raise StructureError(
-            f"input is not Katz-Tao (delta, {s}, polylog): constant {pre.constant:.3g}"
-        )
+    # The pre-check katz_tao_constant(E, s) > polylog, with the same
+    # MeasureErrors, visits only the levels that could exceed polylog: a 3Q
+    # holds at most #E points, and at most 9 (r/delta)^2 cells of a CellSet.
+    # The level of a maximum above polylog is never skipped, so the constant
+    # in the message is the same.
+    if not (0.0 < s <= 2.0):
+        raise MeasureError(f"exponent {s} outside (0, 2]")
+    if not is_cellset:
+        _as_points(pts, d)
+    n = pts.shape[0]
+    check = []
+    for j in range(round(math.log2(1.0 / d)), -1, -1):
+        q = 2.0 ** (-j) / d  # r / delta, and denom as in katz_tao_constant
+        if (min(n, 9.0 * q * q) if is_cellset else n) / q**s > polylog:
+            check.append((2.0 ** (-j), q**s))
+    if check:
+        constant = _tripled_max(pts, check)[0]
+        if constant > polylog:
+            raise StructureError(
+                f"input is not Katz-Tao (delta, {s}, polylog): constant {constant:.3g}"
+            )
     levels = []
     r = rho
     while r <= 1.0:
@@ -523,7 +555,15 @@ def rich_point_refine(
     e_mu: CellSet | None = None
     mu = 1
     for pass_no in (1, 2):
-        codes, counts = fam.multiplicity_counts()
+        # One stable argsort of the family's codes laid end to end gives the
+        # multiplicity of every cell, as multiplicity_counts does, and the
+        # place of each code in the runs.  The array is a concatenation of
+        # sorted runs, which the stable sort (timsort) merges.
+        flat = np.concatenate([sh.cells.codes for _, sh in fam.entries])
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        heads = np.flatnonzero(_run_heads(ranked))
+        codes, counts = ranked[heads], np.diff(np.append(heads, flat.size))
         classes = np.floor(np.log2(counts)).astype(np.int64)
         weights = np.bincount(classes, weights=counts.astype(np.float64))
         best = int(np.argmax(weights))
@@ -536,13 +576,13 @@ def rich_point_refine(
             1.0 / occ,
         )
         mu = 1 << best
-        rich = codes[classes == best]
-        e_mu = CellSet(fam.scale, rich)
-        # Every shading restricted to E_mu at once: one membership test over
-        # the family's codes laid end to end, split back per line.  A subset
-        # of a checked shading on the same line stays sorted and in the tube.
-        flat = np.concatenate([sh.cells.codes for _, sh in fam.entries])
-        inside = _member(rich, flat)[0]
+        rich = classes == best
+        e_mu = CellSet(fam.scale, codes[rich])
+        # Every shading restricted to E_mu at once: each code's class is
+        # spread back through the sort, then split per line.  A subset of a
+        # checked shading on the same line stays sorted and in the tube.
+        inside = np.empty(flat.size, dtype=bool)
+        inside[order] = np.repeat(rich, counts)
         kept = flat[inside]
         sizes = [sh.cells.n_cells for _, sh in fam.entries]
         ends = np.cumsum(inside)[np.cumsum(sizes) - 1].tolist()  # shadings are nonempty
@@ -719,10 +759,10 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
         if r <= d * (1.0 + 1e-12):
             s_out = s_H
         else:
+            j_r = round(-math.log2(r))  # r = 2^-j_r, a ladder level
             ratios = []
-            for pos in positions:
-                n_d = _aligned_counts(pos, d)
-                n_r = _aligned_counts(pos, r)
+            for c in counts:
+                n_d, n_r = int(c[k]), int(c[j_r])
                 ratios.append(math.log2(max(n_d, 1) / max(n_r, 1)) / math.log2(r / d))
             s_out = float(np.median(ratios))
     s_out = min(max(s_out, 0.0), 1.0)

@@ -216,6 +216,43 @@ def test_cli_measure_rejects_non_integer_family_fields(tmp_path, capsys, field):
     assert "malformed family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("generate", {"kind": "bush", "delta": 2.0**-5, "t": "abc"}, "'t'"),
+        ("measure", {"kind": "bush", "delta": 2.0**-5, "seed": "x"}, "'seed'"),
+        ("verify", {"kind": "bush", "delta": 2.0**-5, "eps1": "abc"}, "'eps1'"),
+        ("sweep", {"kind": "case1", "deltas": "2^-5,abc,2^-7"}, "'deltas'"),
+        ("sweep", {"kind": "case1", "deltas": [2.0**-5, "abc", 2.0**-7]}, "'deltas'"),
+        ("decompose", {"f": ["a", 1], "eta": 0.1}, "'f'"),
+        ("decompose", {"f": [0.0, 0.5, 1.0], "eta": "x"}, "'eta'"),
+    ],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and key in err
+
+
+def test_cli_config_scales_accept_power_strings(tmp_path):
+    # README: config delta and r take "2^-k" strings, as the flags do
+    runs = []
+    for delta, r in (("2^-6", "2^-3"), (2.0**-6, 2.0**-3)):
+        cfg = _write_cfg(tmp_path, kind="base", delta=delta, r=r, t=1.0, seed=1)
+        out = tmp_path / f"g{len(runs)}"
+        assert run_cli(["generate", "--config", cfg, "--out", str(out)]) == 0
+        runs.append((out / "report.json").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_cli_rejects_malformed_deltas_option(tmp_path, capsys):
+    argv = ["sweep", "--kind", "case1", "--deltas", "2^-5,abc,2^-7", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    assert "--deltas is malformed" in capsys.readouterr().err
+
+
 def test_cli_measure_and_decompose(tmp_path):
     cfg = _write_cfg(tmp_path, kind="random", delta=2.0**-6, t=1.0, seed=3)
     out = tmp_path / "m"

@@ -30,7 +30,7 @@ from tubelab import (
     verify_decomposition,
 )
 from tubelab.geometry import _greedy_count_below, angle_between, union_shadings
-from tubelab.measures import gamma, katz_tao_constant
+from tubelab.measures import MeasureError, gamma, katz_tao_constant
 from tubelab.structure import (
     DecompositionError,
     MultiscalePartition,
@@ -163,14 +163,38 @@ def test_shading_uniformity_error_matches_reference(k, n, spread, seed):
     assert _shading_uniformity_error(pos, d, k) == reference_shading_uniformity_error(pos, d, k)
 
 
-def test_shading_window_counts_match_aligned_windows():
-    rng = np.random.default_rng(8)
-    for m, N in ((1, 8), (2, 4), (4, 2)):
-        ladder = ScaleLadder(m=m, N=N)
-        sh = random_shading(rng, random_line(rng, Scale(8)), 0.3)
-        pos = sh.arc_positions()
+class _Positions:
+    """Stands in for a Shading whose arclength positions are given."""
+
+    def __init__(self, pos: np.ndarray) -> None:
+        self.pos = pos
+
+    def arc_positions(self) -> np.ndarray:
+        return self.pos.copy()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([1, 2, 4]),
+    N=st.integers(1, 3),
+    chart=st.sampled_from(["s", "t"]),
+    density=st.floats(0.02, 1.0),
+    n=st.integers(1, 300),
+    spread=st.floats(0.001, 1.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_shading_window_counts_match_aligned_windows(m, N, chart, density, n, spread, seed):
+    ladder = ScaleLadder(m=m, N=N)
+    rng = np.random.default_rng(seed)
+    sh = random_shading(rng, random_line(rng, Scale(max(ladder.k, 2)), chart=chart), density)
+    # sorted positions, some just before the square entry (negative arcs),
+    # some on window edges
+    edges = rng.integers(-4, 2**ladder.k, 8) * ladder.rho(N)
+    raw = np.sort(np.concatenate([rng.uniform(-0.01, spread, n), edges]))
+    for Y, pos in ((sh, sh.arc_positions()), (_Positions(raw), raw)):
         expected = [np.unique(np.floor(pos / ladder.rho(j))).size for j in range(N + 1)]
-        assert shading_window_counts(sh, ladder).tolist() == expected
+        got = shading_window_counts(Y, ladder)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def test_is_uniform_checker():
@@ -541,6 +565,68 @@ def test_subsample_matches_reference(k, j, density, s, as_points, seed):
         assert np.array_equal(katz_tao_subsample(pts, rho, s, delta=E.scale.delta), pts[keep])
     else:
         assert katz_tao_subsample(E, rho, s) == CellSet(E.scale, E.codes[keep])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 7),
+    j=st.integers(1, 6),
+    density=st.floats(0.005, 1.0),
+    s=st.floats(0.05, 2.0),
+    as_points=st.booleans(),
+    shift=st.tuples(st.floats(-0.6, 0.3), st.floats(-0.6, 0.3)),
+    dups=st.integers(0, 40),
+    delta_factor=st.sampled_from([1.0, 0.75, 1.5]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_subsample_precheck_matches_katz_tao_constant(
+    k, j, density, s, as_points, shift, dups, delta_factor, seed
+):
+    # The pruned pre-check raises exactly when the full katz_tao_constant
+    # exceeds (log2 1/delta)^2, with the same constant in the message.
+    rng = np.random.default_rng(seed)
+    E = random_cellset(rng, k, density)
+    rho = 2.0 ** -min(j, k - 1)
+    if as_points:  # off-center, partly negative, with repeated points
+        pts = E.centers() + np.array(shift)
+        pts = np.concatenate([pts, pts[rng.integers(0, pts.shape[0], dups)]])
+        d = E.scale.delta * delta_factor
+        rep = katz_tao_constant(pts, s, delta=d)
+        run = lambda: katz_tao_subsample(pts, rho, s, delta=d)  # noqa: E731
+    else:
+        d = E.scale.delta
+        rep = katz_tao_constant(E, s)
+        run = lambda: katz_tao_subsample(E, rho, s)  # noqa: E731
+    if rep.constant > math.log2(1.0 / d) ** 2:
+        with pytest.raises(StructureError, match="not Katz-Tao") as info:
+            run()
+        assert str(info.value).endswith(f"constant {rep.constant:.3g}")
+    else:
+        run()
+
+
+def test_subsample_precheck_reports_a_coarsest_level_maximum():
+    # Three far-apart clusters: only the 3Q of r = 1 holds all 30 points, so
+    # the largest ratio sits on the coarsest level the pre-check visits.
+    pts = np.array([[x, 0.5] for x in (-0.9, 0.5, 1.9) for _ in range(10)])
+    rep = katz_tao_constant(pts, 0.05, delta=2.0**-4)
+    assert rep.witness_r == 1.0 and rep.constant > 16.0
+    with pytest.raises(StructureError, match=f"constant {rep.constant:.3g}$"):
+        katz_tao_subsample(pts, 0.25, 0.05, delta=2.0**-4)
+
+
+def test_subsample_reports_measure_errors_of_katz_tao_constant():
+    E = random_cellset(np.random.default_rng(5), 5, 0.02)
+    pts = E.centers()
+    for s in (0.0, 2.5, float("nan")):
+        with pytest.raises(MeasureError, match="exponent") as info:
+            katz_tao_subsample(E, 0.25, s)
+        with pytest.raises(MeasureError) as want:
+            katz_tao_constant(E, s)
+        assert str(info.value) == str(want.value)
+    bad = np.concatenate([pts, pts[:, :1]], axis=1)  # (n, 3)
+    with pytest.raises(MeasureError, match="expected a nonempty"):
+        katz_tao_subsample(bad, 0.25, 1.0, delta=E.scale.delta)
 
 
 def test_subsample_cellset_roundtrip():
