@@ -165,6 +165,7 @@ class TheoremReport:
 
 
 def _family_measurements(F: LineFamily, t: float, eps1: float, eps2: float):
+    """The family's measured quantities; gamma and Katz-Tao come as reports."""
     if len(F) == 0:
         raise LabError("empty family")
     if not (0.0 < t < 2.0):
@@ -176,8 +177,8 @@ def _family_measurements(F: LineFamily, t: float, eps1: float, eps2: float):
     lhs = union_shadings(F).mass
     sum_shading = float(sum(sh.mass for _, sh in F.entries))
     lam = float(densities(F.shadings).min())
-    gam = gamma_sup(F, t_star).value
-    kt = katz_tao_constant(F.dual_points(), t, delta=delta).constant
+    gam = gamma_sup(F, t_star)
+    kt = katz_tao_constant(F.dual_points(), t, delta=delta)
     te = float(two_ends_constants(F.shadings, eps1, eps2).max())
     return delta, t_star, lhs, sum_shading, lam, gam, kt, te
 
@@ -186,11 +187,11 @@ def verify_theorem(F: LineFamily, t: float, eps1: float, eps2: float) -> Theorem
     """Measure every component of the two-ends inequality and report the ratio."""
     delta, t_star, lhs, s_sum, lam, gam, kt, te = _family_measurements(F, t, eps1, eps2)
     flags = []
-    if kt > KT_THRESHOLD:
-        flags.append(f"katz_tao_constant {kt:.3g} exceeds {KT_THRESHOLD}")
+    if kt.constant > KT_THRESHOLD:
+        flags.append(f"katz_tao_constant {kt.constant:.3g} exceeds {KT_THRESHOLD}")
     if te > TE_THRESHOLD:
         flags.append(f"two_ends_constant {te:.3g} exceeds {TE_THRESHOLD}")
-    rhs = rhs_core_value(delta, t, eps1, lam, gam, s_sum, with_gamma=True)
+    rhs = rhs_core_value(delta, t, eps1, lam, gam.value, s_sum, with_gamma=True)
     return TheoremReport(
         delta=delta,
         k=F.scale.k,
@@ -202,8 +203,8 @@ def verify_theorem(F: LineFamily, t: float, eps1: float, eps2: float) -> Theorem
         lhs_mass=lhs,
         sum_shading=s_sum,
         lam=lam,
-        gamma_star=gam,
-        kt_const=kt,
+        gamma_star=gam.value,
+        kt_const=kt.constant,
         te_const=te,
         rhs_core=rhs,
         ratio=lhs / rhs,
@@ -393,38 +394,67 @@ def _write_csv(path: Path, reports: Sequence[TheoremReport]) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config path")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=_parse_scale, default=None, help='e.g. "2^-8"')
-    p.add_argument("--deltas", default=None, help='comma list, e.g. "2^-6,2^-8"')
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--r", type=_parse_scale, default=None)
-    p.add_argument("--lambda", dest="lambda_target", type=float, default=None)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--eps2", type=float, default=None)
-    p.add_argument("--kind", default=None)
-    p.add_argument("--max-lines", type=int, default=None)
-    p.add_argument("--family", default=None, help="LineFamily JSON input path")
-    p.add_argument("--eta", type=float, default=None)
+# Every flag's argparse keywords; a flag's dest is its config key.
+_FLAGS = {
+    "config": dict(help="JSON config path"),
+    "out": dict(default=".", help="output directory"),
+    "seed": dict(type=int),
+    "delta": dict(type=_parse_scale, help='e.g. "2^-8"'),
+    "deltas": dict(help='comma list, e.g. "2^-6,2^-8"'),
+    "t": dict(type=float),
+    "s": dict(type=float),
+    "r": dict(type=_parse_scale),
+    "lambda": dict(type=float),
+    "eps1": dict(type=float),
+    "eps2": dict(type=float),
+    "kind": dict(),
+    "max-lines": dict(type=int),
+    "family": dict(help="LineFamily JSON input path"),
+    "eta": dict(type=float),
+}
+# The flags each subcommand reads, with its help text.
+_SPEC = "config out seed t s r lambda kind max-lines"
+_COMMANDS = {
+    "generate": ("build a configuration and write family.json", f"{_SPEC} delta"),
+    "measure": ("measure constants of a family", f"{_SPEC} delta family eps1 eps2"),
+    "decompose": ("multiscale-decompose a sampled profile", "config out eta"),
+    "verify": ("verify the main inequality on a family", f"{_SPEC} delta family eps1 eps2"),
+    "sweep": (
+        "verify across a delta ladder and fit the ratio exponent",
+        f"{_SPEC} deltas eps1 eps2",
+    ),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tubelab",
+        description="grid laboratory for line families and tube shadings",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in _COMMANDS.items():
+        # no abbreviations: sweep would take --delta for --deltas
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
-    for key in ("seed", "delta", "t", "s", "r", "lambda_target", "eps1", "eps2", "kind", "eta"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["lambda" if key == "lambda_target" else key] = val
-    if getattr(args, "max_lines", None) is not None:
-        cfg["max_lines"] = args.max_lines
+    for key, val in vars(args).items():
+        if val is not None and key not in ("command", "config", "out", "family"):
+            cfg[key] = val
     if getattr(args, "deltas", None) is not None:
         try:
             cfg["deltas"] = [_parse_scale(v) for v in args.deltas.split(",")]
         except ValueError:
             raise LabError(f"--deltas is malformed: {args.deltas!r}") from None
     return cfg
+
+
+def _eps(cfg: dict) -> tuple[float, float]:
+    return _config_value(cfg, "eps1", 0.1), _config_value(cfg, "eps2", 0.05)
 
 
 def _family_from(args: argparse.Namespace, cfg: dict) -> LineFamily:
@@ -435,22 +465,8 @@ def _family_from(args: argparse.Namespace, cfg: dict) -> LineFamily:
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="tubelab",
-        description="grid laboratory for line families and tube shadings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "build a configuration and write family.json"),
-        ("measure", "measure constants of a family"),
-        ("decompose", "multiscale-decompose a sampled profile"),
-        ("verify", "verify the main inequality on a family"),
-        ("sweep", "verify across a delta ladder and fit the ratio exponent"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
-
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -458,8 +474,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _merged_config(args)
-        eps1 = _config_value(cfg, "eps1", 0.1)
-        eps2 = _config_value(cfg, "eps2", 0.05)
 
         if args.command == "generate":
             spec = _spec_from(cfg)
@@ -479,16 +493,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         if args.command == "measure":
             spec = _spec_from(cfg)
             fam = _family_from(args, cfg)
-            t_star = min(spec.t, 2.0 - spec.t)
+            *_, lam, gam, kt, te = _family_measurements(fam, spec.t, *_eps(cfg))
             report = {
                 "spec": spec.to_json_obj(),
                 "n_lines": len(fam),
-                "katz_tao_constant": katz_tao_constant(
-                    fam.dual_points(), spec.t, delta=fam.scale.delta
-                ).to_json_obj(),
-                "gamma_star": gamma_sup(fam, t_star).to_json_obj(),
-                "lambda_min": float(densities(fam.shadings).min()),
-                "two_ends_max": float(two_ends_constants(fam.shadings, eps1, eps2).max()),
+                "katz_tao_constant": kt.to_json_obj(),
+                "gamma_star": gam.to_json_obj(),
+                "lambda_min": lam,
+                "two_ends_max": te,
                 "shading_frostman_max": float(
                     max(frostman_constant(sh.cells, spec.s).constant for _, sh in fam.entries)
                 ),
@@ -512,7 +524,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             spec = _spec_from(cfg)
             fam = _family_from(args, cfg)
-            rep = verify_theorem(fam, spec.t, eps1, eps2)
+            rep = verify_theorem(fam, spec.t, *_eps(cfg))
             _write_json(
                 out_dir / "report.json", {"spec": spec.to_json_obj(), "report": rep.to_json_obj()}
             )
@@ -523,11 +535,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep":
-            spec = _spec_from(cfg)
             deltas = _config_value(cfg, "deltas", [], _config_scales)
             if not deltas:
                 raise LabError('sweep needs "deltas" in the config or --deltas')
-            result = sweep(spec, deltas, eps1, eps2)
+            # the spec's delta is the finest point: r is checked against a delta the sweep runs
+            spec = _spec_from({**cfg, "delta": min(deltas)})
+            result = sweep(spec, deltas, *_eps(cfg))
             _write_json(out_dir / "report.json", result.to_json_obj())
             _write_csv(out_dir / "table.csv", [rep for _, rep in result.points])
             flagged = result.partial or any(rep.flags for _, rep in result.points)

@@ -237,15 +237,14 @@ class BranchingFunction:
         """One ladder quantum of beta: 1/log(1/delta)."""
         return 1.0 / (self.ladder.k * math.log(2.0))
 
-    def lipschitz_profile(self, dim: int = 1) -> np.ndarray:
-        """Monotone 1-Lipschitz samples on the uniform grid j/N, values/dim,
-        with increments clipped to the 1/N Lipschitz bound."""
+    def lipschitz_profile(self) -> np.ndarray:
+        """Monotone 1-Lipschitz samples on the uniform grid j/N, with
+        increments clipped to the 1/N Lipschitz bound."""
         N = self.ladder.N
         out = np.empty(N + 1)
-        out[0] = max(0.0, self.values[0] / dim)
+        out[0] = max(0.0, self.values[0])
         for j in range(1, N + 1):
-            v = self.values[j] / dim
-            out[j] = min(max(v, out[j - 1]), out[j - 1] + 1.0 / N)
+            out[j] = min(max(self.values[j], out[j - 1]), out[j - 1] + 1.0 / N)
         return np.clip(out, 0.0, 1.0)
 
     def to_json_obj(self) -> dict:
@@ -543,61 +542,49 @@ def rich_point_refine(
 ) -> tuple[LineFamily, CellSet, int, RefinementTrace]:
     """Dyadic pigeonhole on cell multiplicities.
 
-    Keeps the multiplicity class carrying the most incidence mass, restricts
-    every shading to the rich set E_mu, and repeats the pass (the second pass
-    is a stability no-op: restricting to one multiplicity class does not
-    change the multiplicity of the surviving cells).
+    Keeps the multiplicity class carrying the most incidence mass and
+    restricts every shading to the rich set E_mu.  E_mu keeps every
+    occurrence of its codes, so a second pass would find every cell in the
+    same one class: the trace records that pass without recomputing it.
     """
     if len(F) == 0:
         raise StructureError("empty family")
+    # One stable argsort of the family's codes laid end to end gives the
+    # multiplicity of every cell, as multiplicity_counts does, and the
+    # place of each code in the runs.  The array is a concatenation of
+    # sorted runs, which the stable sort (timsort) merges.
+    flat = np.concatenate([sh.cells.codes for _, sh in F.entries])
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    heads = np.flatnonzero(_run_heads(ranked))
+    codes, counts = ranked[heads], np.diff(np.append(heads, flat.size))
+    classes = np.floor(np.log2(counts)).astype(np.int64)
+    weights = np.bincount(classes, weights=counts.astype(np.float64))
+    best = int(np.argmax(weights))
+    occ = np.count_nonzero(weights)  # every count is at least 1
     trace = RefinementTrace()
-    fam = F
-    e_mu: CellSet | None = None
-    mu = 1
-    for pass_no in (1, 2):
-        # One stable argsort of the family's codes laid end to end gives the
-        # multiplicity of every cell, as multiplicity_counts does, and the
-        # place of each code in the runs.  The array is a concatenation of
-        # sorted runs, which the stable sort (timsort) merges.
-        flat = np.concatenate([sh.cells.codes for _, sh in fam.entries])
-        order = np.argsort(flat, kind="stable")
-        ranked = flat[order]
-        heads = np.flatnonzero(_run_heads(ranked))
-        codes, counts = ranked[heads], np.diff(np.append(heads, flat.size))
-        classes = np.floor(np.log2(counts)).astype(np.int64)
-        weights = np.bincount(classes, weights=counts.astype(np.float64))
-        best = int(np.argmax(weights))
-        total = float(counts.sum())
-        kept_mass = float(weights[best])
-        occ = np.count_nonzero(weights)  # every count is at least 1
-        trace.add(
-            f"pass {pass_no}: multiplicity class 2^{best} of {occ}",
-            kept_mass / total,
-            1.0 / occ,
-        )
-        mu = 1 << best
-        rich = classes == best
-        e_mu = CellSet(fam.scale, codes[rich])
-        # Every shading restricted to E_mu at once: each code's class is
-        # spread back through the sort, then split per line.  A subset of a
-        # checked shading on the same line stays sorted and in the tube.
-        inside = np.empty(flat.size, dtype=bool)
-        inside[order] = np.repeat(rich, counts)
-        kept = flat[inside]
-        sizes = [sh.cells.n_cells for _, sh in fam.entries]
-        ends = np.cumsum(inside)[np.cumsum(sizes) - 1].tolist()  # shadings are nonempty
-        entries = [
-            (line, Shading._from_checked(line, CellSet._from_sorted_codes(fam.scale, kept[lo:hi])))
-            for (line, _), lo, hi in zip(fam.entries, [0, *ends], ends)
-            if hi > lo
-        ]
-        if not entries:
-            raise StructureError("refinement emptied the family")
-        fam = LineFamily(fam.scale, tuple(entries))
-        if pass_no == 2 and occ != 1:
-            raise StructureError("rich-point refinement did not stabilize")
-    assert e_mu is not None
-    return fam, e_mu, mu, trace
+    trace.add(
+        f"pass 1: multiplicity class 2^{best} of {occ}",
+        float(weights[best]) / float(counts.sum()),
+        1.0 / occ,
+    )
+    trace.add(f"pass 2: multiplicity class 2^{best} of 1", 1.0, 1.0)
+    rich = classes == best
+    e_mu = CellSet(F.scale, codes[rich])
+    # Every shading restricted to E_mu at once: each code's class is spread
+    # back through the sort, then split per line.  A subset of a checked
+    # shading on the same line stays sorted and in the tube.
+    inside = np.empty(flat.size, dtype=bool)
+    inside[order] = np.repeat(rich, counts)
+    kept = flat[inside]
+    sizes = [sh.cells.n_cells for _, sh in F.entries]
+    ends = np.cumsum(inside)[np.cumsum(sizes) - 1].tolist()  # shadings are nonempty
+    entries = [
+        (line, Shading._from_checked(line, CellSet._from_sorted_codes(F.scale, kept[lo:hi])))
+        for (line, _), lo, hi in zip(F.entries, [0, *ends], ends)
+        if hi > lo
+    ]
+    return LineFamily(F.scale, tuple(entries)), e_mu, 1 << best, trace
 
 
 # -- broad-narrow decomposition --------------------------------------------------------
@@ -648,7 +635,6 @@ def broad_narrow(F: LineFamily, x: tuple[int, int]) -> BroadNarrowResult:
     spread = 2.0 - gaps[g]
     w = min(max(spread + d, 20.0 * d), 1.0)
 
-    members = idx_arr
     rel_all = (pos - lo) % 2.0
     sel = rel_all <= w + 1e-12
     members, rel = idx_arr[sel], rel_all[sel]
@@ -703,10 +689,6 @@ class ShadingMultiscaleResult:
     branch: str
 
 
-def _aligned_counts(pos: np.ndarray, width: float) -> int:
-    return int(_sorted_unique(np.floor(pos / width).astype(np.int64)).size)
-
-
 def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscaleResult:
     """Pick the coarsening scale r and local exponent s for a family whose
     shadings share a branching function, following the two-branch selection
@@ -724,7 +706,7 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
         raise StructureError("family lacks a common branching function")
     mean_ln = np.mean([np.log(np.maximum(c, 1)) for c in counts], axis=0)
     beta = BranchingFunction(ladder, mean_ln / (k * math.log(2.0)))
-    profile = beta.lipschitz_profile(dim=1)
+    profile = beta.lipschitz_profile()
     part = multiscale_decompose(profile, eta)
 
     s_H = float(part.s[-1])
@@ -812,7 +794,7 @@ def verify_shading_multiscale(
         if g_coarse > 64.0 * g_fine + 1e-9:
             return False, f"(a) coarse gamma {g_coarse:.3g} > 64 * {g_fine:.3g}"
         pos = sh.arc_positions()
-        n_d = _aligned_counts(pos, d)
+        n_d = _sorted_unique(np.floor(pos / d).astype(np.int64)).size
         starts = _greedy_windows(pos, r)
         if math.log(max(n_d, 1) / max(len(starts), 1)) > (res.s + 9.0 * eta) * math.log(r / d) + 1e-9:
             return False, "(b) covering ratio exceeds (s + 9 eta) log(r/delta)"

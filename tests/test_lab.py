@@ -19,6 +19,7 @@ from tubelab import (
     verify_corollary,
     verify_theorem,
 )
+from tubelab import lab
 from tubelab.constructions import ConfigSpec
 from tubelab.lab import CSV_COLUMNS
 
@@ -335,3 +336,71 @@ def test_cli_flag_overrides(tmp_path):
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["spec"]["kind"] == "bush"
+
+
+# Each subcommand's flags, as README "CLI" lists them: 51 of the 75 pairs.
+SPEC_FLAGS = ("config", "out", "seed", "t", "s", "r", "lambda", "kind", "max-lines")
+FAMILY_FLAGS = SPEC_FLAGS + ("delta", "family", "eps1", "eps2")
+COMMAND_FLAGS = {
+    "generate": SPEC_FLAGS + ("delta",),
+    "measure": FAMILY_FLAGS,
+    "verify": FAMILY_FLAGS,
+    "sweep": SPEC_FLAGS + ("deltas", "eps1", "eps2"),
+    "decompose": ("config", "out", "eta"),
+}
+FLAG_VALUES = {
+    "config": "c.json", "out": "o", "seed": "3", "delta": "2^-6", "deltas": "2^-5,2^-6,2^-7",
+    "t": "1.0", "s": "0.5", "r": "2^-4", "lambda": "0.5", "eps1": "0.3", "eps2": "0.1",
+    "kind": "bush", "max-lines": "8", "family": "f.json", "eta": "0.1",
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c in sorted(COMMAND_FLAGS) for f in sorted(FLAG_VALUES)]
+)
+def test_cli_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    argv = [command, f"--{flag}", FLAG_VALUES[flag]]
+    if flag in COMMAND_FLAGS[command]:
+        args = lab._parser().parse_args(argv)
+        assert args.command == command
+        assert getattr(args, flag.replace("-", "_")) is not None
+    else:
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_spec_delta_is_its_finest_delta(tmp_path):
+    # r = 2^-9 is finer than the default delta 2^-8 but not than the ladder
+    out = tmp_path / "s"
+    argv = ["sweep", "--kind", "bush", "--t", "1.0", "--r", "2^-9", "--deltas", "2^-9,2^-10,2^-11"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["spec"]["delta"] == 2.0**-11
+    assert [p["delta"] for p in rep["points"]] == [2.0**-9, 2.0**-10, 2.0**-11]
+
+
+def test_cli_measure_and_verify_share_measurements(tmp_path):
+    argv = ["--kind", "random", "--delta", "2^-6", "--t", "1.3", "--seed", "8"]
+    m, v = tmp_path / "m", tmp_path / "v"
+    assert run_cli(["measure", *argv, "--out", str(m)]) == 0
+    assert run_cli(["verify", *argv, "--out", str(v)]) in (0, 1)
+    got = json.loads((m / "report.json").read_text())
+    want = json.loads((v / "report.json").read_text())["report"]
+    assert got["lambda_min"] == want["lambda"]
+    assert got["gamma_star"]["constant"] == want["gamma_star"]
+    assert got["katz_tao_constant"]["constant"] == want["kt_const"]
+    assert got["two_ends_max"] == want["te_const"]
+
+
+def test_python_m_tubelab_runs_the_cli(tmp_path):
+    import subprocess
+    import sys
+
+    import tubelab
+
+    env = {"PYTHONPATH": str(Path(tubelab.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "tubelab", "generate", "--kind", "bush", "--delta", "2^-5"]
+    proc = subprocess.run(argv + ["--out", str(tmp_path)], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "family.json").exists()

@@ -725,6 +725,18 @@ def test_rich_point_refine_matches_reference(k, n_random, n_pencil, reach, n_str
         check_rich_point_postconditions(fam)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_rich_point_refine_is_idempotent(seed):
+    # E_mu keeps every occurrence of its codes, so refining the output again
+    # keeps every line and cell, and finds them all in one class
+    fam = _pencil_family(np.random.default_rng(seed), 6, 6, 6, seed % 3, 2, 0.6)
+    out, e_mu, mu, _ = rich_point_refine(fam)
+    again, e_mu2, mu2, trace = rich_point_refine(out)
+    assert [(ln, sh.cells) for ln, sh in again.entries] == [(ln, sh.cells) for ln, sh in out.entries]
+    assert e_mu2 == e_mu and mu2 == mu
+    assert trace.steps[0].description.endswith(" of 1") and trace.steps[0].kept_fraction == 1.0
+
+
 def test_rich_point_refine_drops_lines_that_miss_the_rich_set():
     fam = _pencil_family(np.random.default_rng(3), 6, 0, 8, 1, 3, 1.0)
     out, e_mu, mu, _ = rich_point_refine(fam)
