@@ -10,7 +10,7 @@ recorded in every artifact file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,20 +77,13 @@ class ConfigSpec:
             raise ConstructionError(f"t {self.t} outside (0, 2)")
         if not (0.0 <= self.s <= 1.0):
             raise ConstructionError(f"s {self.s} outside [0, 1]")
+        if not (0.0 < self.delta <= 1.0):
+            raise ConstructionError(f"delta {self.delta} outside (0, 1]")
         if not (self.delta <= self.r <= 1.0):
             raise ConstructionError(f"r {self.r} outside [delta, 1]")
 
     def to_json_obj(self) -> dict:
-        return {
-            "delta": self.delta,
-            "t": self.t,
-            "s": self.s,
-            "r": self.r,
-            "seed": self.seed,
-            "kind": self.kind,
-            "lambda_target": self.lambda_target,
-            "max_lines": self.max_lines,
-        }
+        return asdict(self)
 
 
 def _scale_of(value: float, what: str) -> Scale:

@@ -47,6 +47,8 @@ class Scale:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 0:
             raise GridError(f"scale exponent must be a non-negative integer, got {self.k!r}")
+        if self.k > 32:  # a cell code keeps 32 bits per index
+            raise GridError(f"scale exponent {self.k} > 32 does not fit a cell code")
 
     @property
     def delta(self) -> float:

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -122,45 +122,11 @@ class TheoremReport:
             with_gamma=not self.corollary,
         )
 
-    def csv_row(self) -> list:
-        return [
-            self.delta,
-            self.k,
-            self.t,
-            self.t_star,
-            self.eps1,
-            self.lam,
-            self.gamma_star,
-            self.lhs_mass,
-            self.sum_shading,
-            self.rhs_core,
-            self.ratio,
-            self.kt_const,
-            self.te_const,
-        ]
-
     def to_json_obj(self) -> dict:
-        out = {
-            "delta": self.delta,
-            "k": self.k,
-            "t": self.t,
-            "t_star": self.t_star,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "n_lines": self.n_lines,
-            "lhs_mass": self.lhs_mass,
-            "sum_shading": self.sum_shading,
-            "lambda": self.lam,
-            "gamma_star": self.gamma_star,
-            "kt_const": self.kt_const,
-            "te_const": self.te_const,
-            "rhs_core": self.rhs_core,
-            "ratio": self.ratio,
-            "flags": list(self.flags),
-            "corollary": self.corollary,
-        }
-        if self.corollary:
-            out["shading_kt_const"] = self.shading_kt_const
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        if not self.corollary:
+            del out["shading_kt_const"]
         return out
 
 
@@ -268,18 +234,9 @@ class SweepResult:
     failures: tuple[str, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "spec": self.spec.to_json_obj(),
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "points": [
-                {"delta": d, "report": rep.to_json_obj()} for d, rep in self.points
-            ],
-            "fitted_exponent": self.fitted_exponent,
-            "residual": self.residual,
-            "partial": self.partial,
-            "failures": list(self.failures),
-        }
+        out = asdict(self)
+        out["points"] = [{"delta": d, "report": rep.to_json_obj()} for d, rep in self.points]
+        return out
 
 
 def build_sweep_family(spec: ConfigSpec, delta: float) -> LineFamily:
@@ -295,24 +252,20 @@ def sweep(
     Points are pure jobs keyed by (spec, delta, seed) and merged in delta
     order, so the fit is invariant under reordering of the input list.
     """
-    if len(deltas) < 3:
-        raise LabError("a sweep needs at least 3 deltas")
+    distinct = sorted(set(deltas), reverse=True)
+    if len(distinct) < 3:
+        raise LabError("a sweep needs at least 3 distinct deltas")
     points: list[tuple[float, TheoremReport]] = []
     failures: list[str] = []
-    for d in sorted(set(deltas), reverse=True):
+    for d in distinct:
         try:
             fam = build_sweep_family(spec, d)
             points.append((d, verify_theorem(fam, spec.t, eps1, eps2)))
         except (ConstructionError, GridError, GeometryError) as exc:
             failures.append(f"delta={d}: {exc}")
-    if len(points) >= 3:
-        slope, resid = fit_exponent(
-            [d for d, _ in points], [rep.ratio for _, rep in points]
-        )
-    else:
-        raise LabError(
-            "sweep infeasible at too many scales: " + "; ".join(failures)
-        )
+    if len(points) < 3:
+        raise LabError("sweep infeasible at too many scales: " + "; ".join(failures))
+    slope, resid = fit_exponent([d for d, _ in points], [rep.ratio for _, rep in points])
     return SweepResult(
         spec=spec,
         eps1=eps1,
@@ -386,11 +339,16 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _write_csv(path: Path, reports: Sequence[TheoremReport]) -> None:
+    """One row per report, read from its JSON object in CSV_COLUMNS order."""
+    columns = CSV_COLUMNS.split(",")
+    keys = ["lhs_mass" if c == "lhs" else c for c in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS.split(","))
+    writer.writerow(columns)
     for rep in reports:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in rep.csv_row()])
+        obj = rep.to_json_obj()
+        row = [obj[key] for key in keys]
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -569,3 +527,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ failure can be replayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,7 @@ class NonConcentrationReport:
     witness_x: tuple[float, float]
 
     def to_json_obj(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "witness_r": self.witness_r,
-            "witness_x": list(self.witness_x),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,13 +85,15 @@ def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
     return pts, delta
 
 
-_BIG = 1 << 32  # cell key iq * 2^32 + jq; indices stay far below 2^31
+_BIG = 1 << 32  # cell key iq * 2^32 + jq; _cell_keys keeps indices below 2^31
 _BLOCK = tuple(u * _BIG + w for u in (-1, 0, 1) for w in (-1, 0, 1))
 
 
 def _cell_keys(pts: np.ndarray, r: float) -> np.ndarray:
     """Key iq * 2^32 + jq of the dyadic r-cell of every point: the same IEEE
     division and floor as math.floor(x / r), one numpy pass per axis."""
+    if np.abs(pts).max(initial=0.0) / r >= 1 << 31:
+        raise MeasureError(f"cell indices at r = {r} do not fit a 32-bit key")
     iq = np.floor(pts[:, 0] / r).astype(np.int64)
     return iq * _BIG + np.floor(pts[:, 1] / r).astype(np.int64)
 

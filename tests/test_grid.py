@@ -22,6 +22,15 @@ def test_scale_invariants():
     assert Scale(2).require_base() is not None
 
 
+def test_scale_rejects_exponents_past_the_code_width():
+    # a code keeps 32 bits per index: at k = 33 the cell (2**32, 0) would become (0, 1)
+    assert Scale(32).n == 2**32
+    with pytest.raises(GridError, match="33 > 32"):
+        Scale(33)
+    with pytest.raises(GridError):
+        CellSet.from_ij(Scale(33), [2**32], [0])
+
+
 def test_ladder_nesting():
     lad = ScaleLadder(m=2, N=4)
     assert lad.M == 4 and lad.k == 8

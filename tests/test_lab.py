@@ -135,6 +135,9 @@ def test_sweep_needs_three_deltas():
     spec = ConfigSpec(delta=2.0**-8, t=1.0, kind="bush")
     with pytest.raises(LabError):
         sweep(spec, [2.0**-6, 2.0**-8], 0.3, 0.1)
+    # a repeated delta is one scale: this used to fail with an empty reason
+    with pytest.raises(LabError, match="at least 3 distinct deltas"):
+        sweep(spec, [2.0**-5, 2.0**-5, 2.0**-6], 0.3, 0.1)
 
 
 def test_sweep_fit_reproducible_from_stored_points():
@@ -393,14 +396,39 @@ def test_cli_measure_and_verify_share_measurements(tmp_path):
     assert got["two_ends_max"] == want["te_const"]
 
 
-def test_python_m_tubelab_runs_the_cli(tmp_path):
+def _run_module_cli(tmp_path, module):
     import subprocess
     import sys
 
     import tubelab
 
     env = {"PYTHONPATH": str(Path(tubelab.__file__).resolve().parents[1])}
-    argv = [sys.executable, "-m", "tubelab", "generate", "--kind", "bush", "--delta", "2^-5"]
+    argv = [sys.executable, "-m", module, "generate", "--kind", "bush", "--delta", "2^-5"]
     proc = subprocess.run(argv + ["--out", str(tmp_path)], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "family.json").exists()
+
+
+def test_python_m_tubelab_runs_the_cli(tmp_path):
+    _run_module_cli(tmp_path, "tubelab")
+
+
+def test_python_m_tubelab_lab_runs_the_cli(tmp_path):
+    _run_module_cli(tmp_path, "tubelab.lab")
+
+
+@pytest.mark.parametrize("delta", ["0", "2^-2000", "-1"])
+def test_cli_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
+    # 2^-2000 underflows to 0.0
+    argv = ["generate", "--kind", "bush", "--delta", delta, "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta ") and "outside (0, 1]" in err
+    assert not (tmp_path / "family.json").exists()
+
+
+def test_cli_verify_flags_a_hypothesis_with_exit_1(tmp_path, capsys):
+    argv = ["verify", "--kind", "grid", "--delta", "2^-5", "--t", "0.5"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    assert "katz_tao_constant 64 exceeds 32.0" in capsys.readouterr().err
+    assert json.loads((tmp_path / "report.json").read_text())["report"]["flags"]

@@ -116,6 +116,17 @@ def test_kt_witness_with_negative_dual_ordinates():
     assert count / (r / d) == rep.constant
 
 
+def test_kt_rejects_cell_indices_past_the_key_width():
+    # at r = 2^-30 the ordinate 2.0 has cell index 2^31, which the packed
+    # key would read as -2^31 (witness y = -2.0)
+    pts = np.array([[-1.0, 2.0]])
+    rep = katz_tao_constant(pts, 1.0, delta=2.0**-29)
+    assert rep.witness_r == 2.0**-29
+    assert rep.witness_x[1] == pytest.approx(2.0)
+    with pytest.raises(MeasureError, match="32-bit key"):
+        katz_tao_constant(pts, 1.0, delta=2.0**-30)
+
+
 def test_kt_subadditive_under_union():
     rng = np.random.default_rng(22)
     for _ in range(10):

@@ -787,6 +787,24 @@ def test_broad_narrow_near_parallel_pencil():
     assert res.rho_x <= 2 * theta0 + 10 * d + 1e-9
 
 
+def _check_broad_narrow(fam: LineFamily, res) -> None:
+    d = fam.scale.delta
+    lsq = math.log2(1.0 / d) ** 2
+    assert 10 * d <= res.rho_x <= 1.0
+    assert len(res.kept) >= len(fam) / lsq
+    lines = fam.lines
+    for i in res.kept:
+        for j in res.kept:
+            assert _metric(lines[i], lines[j]) + d <= 2 * res.rho_x + 1e-9
+    if not res.narrow:
+        assert len(res.L1) >= len(res.kept) / lsq
+        assert len(res.L2) >= len(res.kept) / lsq
+        for i in res.L1:
+            for j in res.L2:
+                ang = _metric(lines[i], lines[j])
+                assert res.rho_x / 8 - 1e-9 <= ang <= res.rho_x + 1e-9
+
+
 def test_broad_narrow_postconditions():
     rng = np.random.default_rng(39)
     for trial in range(10):
@@ -797,23 +815,19 @@ def test_broad_narrow_postconditions():
         if len(slopes) < 2:
             continue
         fam, x = _crossing_family(k, slopes)
-        res = broad_narrow(fam, x)
-        d = fam.scale.delta
-        lsq = math.log2(1.0 / d) ** 2
-        n_all = len(fam)
-        assert 10 * d <= res.rho_x <= 1.0
-        assert len(res.kept) >= n_all / lsq
-        lines = fam.lines
-        for i in res.kept:
-            for j in res.kept:
-                assert _metric(lines[i], lines[j]) + d <= 2 * res.rho_x + 1e-9
-        if not res.narrow:
-            assert len(res.L1) >= len(res.kept) / lsq
-            assert len(res.L2) >= len(res.kept) / lsq
-            for i in res.L1:
-                for j in res.L2:
-                    ang = _metric(lines[i], lines[j])
-                    assert res.rho_x / 8 - 1e-9 <= ang <= res.rho_x + 1e-9
+        _check_broad_narrow(fam, broad_narrow(fam, x))
+
+
+def test_broad_narrow_narrow_descent_then_split():
+    # two far directions plus a dense pencil: no quarter pair of the first
+    # arc holds enough lines, so the search descends into the pencil's half
+    # window before it splits
+    fam, x = _crossing_family(6, sorted({-64, 64} | set(range(-20, 21))))
+    res = broad_narrow(fam, x)
+    assert not res.narrow
+    assert res.rho_x == pytest.approx(0.311, abs=1e-3)
+    assert len(res.kept) < len(fam)
+    _check_broad_narrow(fam, res)
 
 
 def test_broad_narrow_needs_two_lines():
@@ -881,6 +895,33 @@ def test_shading_multiscale_concentrated_shallow_branch():
     # coarse shading carries order-one gamma
     for _, csh in res.family.entries:
         assert gamma(csh, 0.5).value <= 8.0
+
+
+_ROADMAP_ITEM_3 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: at r = 2 delta, dilated segment constant 2 > 1.87",
+)
+
+
+@pytest.mark.parametrize(
+    "k, j",
+    [
+        pytest.param(k, j, marks=_ROADMAP_ITEM_3 if j == 1 else ())
+        for k in (8, 9, 10)
+        for j in range(1, k)
+    ],
+)
+def test_shading_multiscale_shallow_branch_scale_search(k, j):
+    # 2^j leading columns at t = 1 take the shallow branch, whose scale search
+    # doubles r while every point sees (r/r0)^t occupied r0-windows; it stops
+    # at r = 2^j delta
+    fam = _column_family(k, [np.arange(2**j)] * 2)
+    res = shading_multiscale(fam, 1.0, 0.1)
+    assert res.branch == "shallow"
+    assert res.r == 2.0 ** (j - k)
+    ok, msg = verify_shading_multiscale(fam, res, 1.0, 0.1)
+    assert ok, msg
 
 
 def test_verify_shading_multiscale_checks_the_last_segment():
