@@ -10,6 +10,7 @@ coordinates by construction and all duality arithmetic is exact.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,6 +167,27 @@ def _cell_arcs_and_offsets(
     return _arc_and_offset(np.where(steep, y, x), np.where(steep, x, y), a, b, u0, nrm)
 
 
+@contextmanager
+def _lend_projections(shadings: Sequence["Shading"]):
+    """For the duration of the block, Shading.arc_and_offset of every
+    shading returns its read-only run of one _cell_arcs_and_offsets pass over
+    all of them (the same arithmetic as projecting it alone).  The runs are
+    taken back on exit, also when the block raises, so no shading keeps a
+    projection.  The shadings share one scale."""
+    arc, off = _cell_arcs_and_offsets([sh.line for sh in shadings], [sh.cells for sh in shadings])
+    arc.flags.writeable = False
+    off.flags.writeable = False
+    ends = np.cumsum([sh.cells.n_cells for sh in shadings]).tolist()
+    try:
+        for sh, lo, hi in zip(shadings, [0] + ends, ends):
+            object.__setattr__(sh, "_proj", (arc[lo:hi], off[lo:hi]))
+        yield
+    finally:
+        for sh in shadings:
+            if sh._proj is not None:
+                object.__delattr__(sh, "_proj")
+
+
 def _tube_slack(line: "Line", d: float) -> float:
     """Largest offset a shading cell of width d may have from its line."""
     return 2.0 * d * line.nrm + 1e-12
@@ -238,6 +260,9 @@ class Shading:
 
     line: Line
     cells: CellSet
+    # (arc, offset) lent by _lend_projections; not a field, so eq, hash and
+    # repr ignore it
+    _proj = None
 
     def __post_init__(self) -> None:
         if self.cells.is_empty():
@@ -262,11 +287,13 @@ class Shading:
     def arc_positions(self) -> np.ndarray:
         """Sorted arclength positions of the cell centers along the line."""
         arc, _ = self.arc_and_offset()
-        arc.sort()
-        return arc
+        return np.sort(arc)
 
     def arc_and_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line.project of the cell centers."""
+        """Line.project of the cell centers; inside _lend_projections, the
+        shading's read-only run of its chunk's projection."""
+        if self._proj is not None:
+            return self._proj
         i, j = self.cells.ij()
         d = self.cells.scale.delta
         return self.line.project((i + 0.5) * d, (j + 0.5) * d)

@@ -141,7 +141,8 @@ def _family_measurements(F: LineFamily, t: float, eps1: float, eps2: float):
     delta = F.scale.delta
     t_star = min(t, 2.0 - t)
     lhs = union_shadings(F).mass
-    sum_shading = float(sum(sh.mass for _, sh in F.entries))
+    # every mass is a whole number of delta^2, so this is the exact sum
+    sum_shading = sum(sh.cells.n_cells for _, sh in F.entries) * delta * delta
     lam = float(densities(F.shadings).min())
     gam = gamma_sup(F, t_star)
     kt = katz_tao_constant(F.dual_points(), t, delta=delta)

@@ -10,6 +10,7 @@ failure can be replayed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -17,7 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .grid import CellSet, Scale, _member, _sorted_counts
-from .geometry import LineFamily, Shading, _cell_arcs_and_offsets, _line_chunks, _row_spans
+from .geometry import (
+    LineFamily,
+    Shading,
+    _cell_arcs_and_offsets,
+    _lend_projections,
+    _line_chunks,
+    _row_spans,
+)
 
 __all__ = [
     "MeasureError",
@@ -85,15 +93,24 @@ def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
     return pts, delta
 
 
-_BIG = 1 << 32  # cell key iq * 2^32 + jq; _cell_keys keeps indices below 2^31
+_BIG = 1 << 32  # cell key iq * 2^32 + jq with a signed jq
 _BLOCK = tuple(u * _BIG + w for u in (-1, 0, 1) for w in (-1, 0, 1))
+# |coordinate| / r below this keeps a cell's index and its neighbours' (one
+# more either way) inside the signed 32 bits of jq, so no two keys alias.
+_KEY_LIMIT = (1 << 31) - 1
+
+
+def _check_key_width(m: float, r: float) -> None:
+    """Raise unless the cells of coordinates up to m in magnitude at scale r
+    fit the packed key."""
+    if m / r >= _KEY_LIMIT:
+        raise MeasureError(f"cell indices at r = {r} do not fit a 32-bit key")
 
 
 def _cell_keys(pts: np.ndarray, r: float) -> np.ndarray:
     """Key iq * 2^32 + jq of the dyadic r-cell of every point: the same IEEE
     division and floor as math.floor(x / r), one numpy pass per axis."""
-    if np.abs(pts).max(initial=0.0) / r >= 1 << 31:
-        raise MeasureError(f"cell indices at r = {r} do not fit a 32-bit key")
+    _check_key_width(np.abs(pts).max(initial=0.0), r)
     iq = np.floor(pts[:, 0] / r).astype(np.int64)
     return iq * _BIG + np.floor(pts[:, 1] / r).astype(np.int64)
 
@@ -116,6 +133,7 @@ class TripledCaps:
         self.counts: list[dict[int, int]] = [{} for _ in self.levels]
         self.full: list[set[int]] = [set() for _ in self.levels]
         self.closed = any(1 > cap for _, cap in self.levels)
+        self._finest = min((r for r, _ in self.levels), default=math.inf)
 
     def _add(self, cells: Sequence[int]) -> bool:
         """try_add for a point given by its cell key at every level."""
@@ -130,6 +148,7 @@ class TripledCaps:
 
     def try_add(self, x: float, y: float) -> bool:
         """Accept (x, y) if no cap is exceeded; counts change only on accept."""
+        _check_key_width(max(abs(x), abs(y)), self._finest)
         return self._add([math.floor(x / r) * _BIG + math.floor(y / r) for r, _ in self.levels])
 
     def keep_mask(self, pts: np.ndarray) -> np.ndarray:
@@ -300,6 +319,17 @@ def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) ->
     return best / (d**eps2 * sizes)
 
 
+@functools.lru_cache(maxsize=None)  # one entry per k, and Scale keeps k <= 32
+def _scale_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma's rows at delta = 2^-k: r^2 of r = 2^(i-k) for row i as a
+    column, and the row indices.  Read-only, since every call shares them."""
+    r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))[:, None]
+    rows = np.arange(k + 1)
+    r2.flags.writeable = False
+    rows.flags.writeable = False
+    return r2, rows
+
+
 def gamma(Y: Shading, t: float) -> GammaReport:
     """sup over dyadic r in [delta, 1] and delta-spaced x on the line of
     (delta/r)^t * #(cells of Y with center in B(x, r)).
@@ -323,8 +353,8 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     arc, off = Y.arc_and_offset()
     lam = max(Y.line.length_in_square(), d)
     M = math.floor(lam / d)
-    r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))
-    reach2 = r2[:, None] - (off * off)[None, :]
+    r2, row_index = _scale_rows(k)
+    reach2 = r2 - (off * off)[None, :]
     mask = reach2 > 0.0
     rows, cols = mask.nonzero()
     w = np.sqrt(reach2[mask])
@@ -339,7 +369,7 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     if math.floor((lam + 1e-12) / d) > M:
         cover[:, M + 1] = np.bincount(rows[(left <= lam) & (lam <= right)], minlength=k + 1)
     first = cover.argmax(axis=1)
-    counts = cover[np.arange(k + 1), first]
+    counts = cover[row_index, first]
     best = -1.0
     wit_r, wit_arc = d, 0.0
     for i in np.flatnonzero(counts).tolist():
@@ -364,13 +394,27 @@ def gamma_value_at(Y: Shading, t: float, r: float, x_arc: float) -> float:
 
 
 def gamma_sup(F: LineFamily, t: float) -> GammaReport:
-    """Family-level gamma: the maximum of gamma over all lines."""
+    """Family-level gamma: the maximum of gamma over all lines, the first
+    maximal line on ties.
+
+    gamma runs once per line, on F's own shadings and in their order, since
+    the traced benchmark counts its calls and cell scales on measures.gamma
+    (tests/test_benchmark_contract.py pins this).  Only the projection of
+    the cells moves out of those calls: each chunk of lines is projected in
+    one pass and lent to its shadings while gamma runs on them
+    (geometry._lend_projections), so nothing stays on the shadings.  The
+    family-wide gamma kernel of ROADMAP open item 1 replaces this.
+    """
     if len(F) == 0:
         raise MeasureError("gamma_sup of an empty family")
+    shadings = F.shadings
+    sizes = np.array([sh.cells.n_cells for sh in shadings], dtype=np.int64)
     best: GammaReport | None = None
-    for _, sh in F.entries:
-        rep = gamma(sh, t)
-        if best is None or rep.value > best.value:
-            best = rep
+    for lo, hi in _line_chunks(sizes):
+        with _lend_projections(shadings[lo:hi]):
+            for sh in shadings[lo:hi]:
+                rep = gamma(sh, t)
+                if best is None or rep.value > best.value:
+                    best = rep
     assert best is not None
     return best

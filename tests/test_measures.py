@@ -21,6 +21,7 @@ from tubelab import (
     two_ends_constant,
     two_ends_constants,
 )
+from tubelab import measures
 from tubelab.constructions import ConfigSpec
 from tubelab.geometry import _CHUNK_CELLS
 from tubelab.grid import coarsen
@@ -125,6 +126,35 @@ def test_kt_rejects_cell_indices_past_the_key_width():
     assert rep.witness_x[1] == pytest.approx(2.0)
     with pytest.raises(MeasureError, match="32-bit key"):
         katz_tao_constant(pts, 1.0, delta=2.0**-30)
+
+
+def test_keys_keep_room_for_the_neighbour_cells():
+    # at r = 2^-30 the cells (0, 2^31 - 1) and (1, -2^31) have keys that
+    # differ by 1, so each looked like the other's neighbour: the two far-apart
+    # points gave constant 2.0 (true value 1.0) and keep_mask rejected one
+    pts = np.array([[0.0, 2.0 - 2.0**-30], [2.0**-30, -2.0 + 2.0**-31]])
+    assert katz_tao_constant(pts, 1.0, delta=2.0**-29).constant == 1.0
+    assert TripledCaps([(2.0**-29, 1.0)]).keep_mask(pts).tolist() == [True, True]
+    with pytest.raises(MeasureError, match="32-bit key"):
+        katz_tao_constant(pts, 1.0, delta=2.0**-30)
+    with pytest.raises(MeasureError, match="32-bit key"):
+        TripledCaps([(2.0**-30, 1.0)]).keep_mask(pts)
+
+
+def test_tripled_caps_try_add_rejects_cell_indices_past_the_key_width():
+    # the packed key of (0.0, 2.0) at r = 2^-30 aliased a cell next to that of
+    # (2^-30, -2.0), so the second point was rejected after the first
+    caps = TripledCaps([(2.0**-30, 1.0)])
+    for x, y in [(0.0, 2.0), (2.0**-30, -2.0), (0.0, 2.0 - 2.0**-30), (-2.0, 0.0)]:
+        with pytest.raises(MeasureError, match="32-bit key"):
+            caps.try_add(x, y)
+    assert caps.counts == [{}]
+    # the finest level decides, wherever it sits among the levels
+    for levels in ([(2.0**-30, 1.0), (1.0, 9.0)], [(1.0, 9.0), (2.0**-30, 1.0)]):
+        with pytest.raises(MeasureError, match="32-bit key"):
+            TripledCaps(levels).try_add(0.0, 2.0)
+    caps = TripledCaps([(2.0**-29, 1.0)])
+    assert caps.try_add(0.0, 2.0) and caps.try_add(2.0**-30, -2.0)
 
 
 def test_kt_subadditive_under_union():
@@ -682,6 +712,101 @@ def test_gamma_sup_is_max():
         entries.append((line, random_shading(rng, line, 0.5)))
     fam = LineFamily(sc, tuple(entries))
     assert gamma_sup(fam, 0.5).value == max(gamma(sh, 0.5).value for _, sh in fam.entries)
+
+
+def _fresh_gamma_max(F: LineFamily, t: float):
+    # gamma on a new, unlent Shading per line; the first maximum wins
+    best = None
+    for line, sh in F.entries:
+        rep = gamma(Shading(line, sh.cells), t)
+        if best is None or rep.value > best.value:
+            best = rep
+    return best
+
+
+def _charted_family(seed: int, k: int, n_lines: int, chart: str | None) -> LineFamily:
+    # random lines on one chart (or both, chart None) with random shadings
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    entries = {}
+    while len(entries) < n_lines:
+        line = random_line(rng, sc, chart=chart)
+        key = (line.chart, line.a_q, line.b_q)
+        if key not in entries:
+            entries[key] = (line, random_shading(rng, line, float(rng.uniform(0.05, 1.0))))
+    return LineFamily(sc, tuple(entries.values()))
+
+
+def _lent(F: LineFamily) -> list[int]:
+    return [i for i, (_, sh) in enumerate(F.entries) if "_proj" in vars(sh)]
+
+
+@pytest.mark.parametrize("seed", [405, 406])
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_gamma_sup_matches_fresh_shadings_on_case2_families(seed, k):
+    # the case2-ladder spec (r = 2^-4); k = 5 and 6 fit one chunk of lines, k = 7
+    # and 8 (about 11 k and 47 k cells) span several
+    spec = ConfigSpec(delta=2.0**-8, t=1.5, s=0.05, r=2.0**-4, seed=seed, kind="case2")
+    F = build_sweep_family(spec, 2.0**-k)
+    for t in (0.0, 0.5, 1.0):
+        assert gamma_sup(F, t) == _fresh_gamma_max(F, t)
+    assert _lent(F) == []
+
+
+@pytest.mark.parametrize("chart", ["s", "t", None])
+@pytest.mark.parametrize("k,n_lines,seed", [(4, 6, 0), (7, 60, 1), (8, 40, 2)])
+def test_gamma_sup_matches_fresh_shadings_on_random_families(chart, k, n_lines, seed):
+    F = _charted_family(seed, k, n_lines, chart)
+    for t in (0.0, 0.3, 1.0):
+        assert gamma_sup(F, t) == _fresh_gamma_max(F, t)
+    assert _lent(F) == []
+
+
+def test_gamma_sup_takes_back_the_projections_when_gamma_raises(monkeypatch):
+    F = _charted_family(3, 7, 100, None)
+    assert sum(sh.cells.n_cells for sh in F.shadings) > 2 * _CHUNK_CELLS
+    with pytest.raises(MeasureError):
+        gamma_sup(F, 1.5)
+    assert _lent(F) == []
+    # a raise in a later chunk, while that chunk's shadings are lent
+    gamma = measures.gamma
+    calls = []
+
+    def failing(Y, t):
+        calls.append(Y)
+        if len(calls) == len(F) - 2:
+            assert "_proj" in vars(Y)
+            raise MeasureError("stop")
+        return gamma(Y, t)
+
+    monkeypatch.setattr(measures, "gamma", failing)
+    with pytest.raises(MeasureError, match="stop"):
+        gamma_sup(F, 0.5)
+    assert _lent(F) == []
+
+
+def test_gamma_sup_lends_read_only_projections_of_the_same_bits(monkeypatch):
+    F = _charted_family(4, 7, 60, None)
+    gamma = measures.gamma
+    seen = []
+
+    def checking(Y, t):
+        arc, off = Y.arc_and_offset()
+        for lent, own in zip((arc, off), Shading(Y.line, Y.cells).arc_and_offset()):
+            assert not lent.flags.writeable
+            with pytest.raises(ValueError):
+                lent[0] = 0.0
+            assert lent.tobytes() == own.tobytes()
+        # arc_positions sorts a copy, so the lent arc keeps its pairing
+        assert np.array_equal(Y.arc_positions(), np.sort(arc))
+        assert Y.arc_and_offset()[0].tobytes() == arc.tobytes()
+        seen.append(Y)
+        return gamma(Y, t)
+
+    monkeypatch.setattr(measures, "gamma", checking)
+    gamma_sup(F, 0.5)
+    assert [id(Y) for Y in seen] == [id(sh) for sh in F.shadings]
+    assert _lent(F) == []
 
 
 def test_gamma_dyadic_restriction_vs_dense_sampling():
