@@ -68,15 +68,26 @@ from .constructions import (
     random_config,
     rescale_case1,
 )
-from .lab import (
-    LabError,
-    SweepResult,
-    TheoremReport,
-    fit_exponent,
-    run_cli,
-    sweep,
-    verify_corollary,
-    verify_theorem,
-)
 
 __version__ = "0.1.0"
+
+# lab's names are looked up on first use, so that `python -m tubelab.lab` runs
+# lab once, as __main__, rather than a second copy imported with the package.
+_LAB_NAMES = (
+    "LabError",
+    "SweepResult",
+    "TheoremReport",
+    "fit_exponent",
+    "run_cli",
+    "sweep",
+    "verify_corollary",
+    "verify_theorem",
+)
+
+
+def __getattr__(name: str):
+    if name in _LAB_NAMES:
+        from . import lab
+
+        return getattr(lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

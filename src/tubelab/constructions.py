@@ -19,17 +19,18 @@ from .grid import CellSet, Scale, _check_codes, _decode, _encode, _run_ranges, _
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
-    GeometryError,
     Line,
     LineFamily,
     Shading,
+    _FrameTable,
     _check_in_tube,
     _line_chunks,
+    _param_ranges,
     _row_spans,
     tube_cells,
     union_shadings,
 )
-from .measures import TripledCaps, katz_tao_constant, frostman_constant, densities
+from .measures import TripledCaps, _densities, katz_tao_constant, frostman_constant
 
 __all__ = [
     "ConstructionError",
@@ -182,7 +183,8 @@ def build_base(
     kept = [(ln, CellSet._from_sorted_codes(scale, c)) for ln, c in zip(lines, codes) if c.size]
     if not kept:
         raise ConstructionError("base construction produced no usable lines")
-    _check_in_tube([ln for ln, _ in kept], [cells for _, cells in kept])
+    fr = _FrameTable.of((ln, cells.codes.size) for ln, cells in kept)
+    _check_in_tube(fr, np.concatenate([cells.codes for _, cells in kept]), scale.delta)
     return LineFamily(scale, tuple((ln, Shading._from_checked(ln, cells)) for ln, cells in kept))
 
 
@@ -312,8 +314,9 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     parent, ia, ka, kb = parent[claimed], ia[claimed], ka[claimed], kb[claimed]
     off_b = db[ib[claimed]]
     slopes, inverse = np.unique(a_new, return_inverse=True)
-    width = np.array([delta * math.hypot(1.0, a * delta) for a in slopes.tolist()])
-    W = width[inverse.reshape(a_new.shape)][parent, ia]
+    nrm = np.array([math.hypot(1.0, a * delta) for a in slopes.tolist()])
+    nrm = nrm[inverse.reshape(a_new.shape)][parent, ia]
+    W = delta * nrm
     aa, bb = ka * delta, B[parent] * delta
     # The child columns of all parents laid end to end, q per parent column in
     # column order, and the parent cells as sorted (parent, column, row) keys;
@@ -330,9 +333,10 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     col_keys = np.repeat(parent_cols * nr, q)
     child_cols = _run_ranges(parent_cols % nr * q, np.full(parent_cols.size, q))
     child_x = (child_cols + 0.5) * delta
-    key_a, key_b = ka.tolist(), kb.tolist()
-    candidates: list[tuple[Line, CellSet]] = []
-    # (key x child column) entries in chunks of consecutive keys
+    # (key x child column) entries in chunks of consecutive keys: each chunk's
+    # child codes in key order, which stay the storage of its shadings
+    chunks: list[tuple[int, int, np.ndarray]] = []
+    counts = np.zeros(ka.size, dtype=np.int64)
     for k0, k1 in _line_chunks(n_cols[parent], _BUNDLE_CHUNK):
         per_key = n_cols[parent[k0:k1]]
         col = _run_ranges(col_starts[parent[k0:k1]], per_key)
@@ -360,24 +364,32 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         key, codes = key[order], _encode(cols[order], rows[order])
         # CellSet's checks for all children of the chunk at once
         _check_codes(codes, n, key[1:] == key[:-1])
-        counts = np.bincount(key, minlength=k1 - k0)
-        nonempty = np.flatnonzero(counts)
-        ends = np.cumsum(counts)[nonempty]
-        starts = (ends - counts[nonempty]).tolist()
-        for c, start, end in zip(nonempty.tolist(), starts, ends.tolist()):
-            try:
-                child_line = Line(new_scale, CHART_SHALLOW, key_a[k0 + c], key_b[k0 + c])
-            except GeometryError:
-                continue
-            cells = CellSet._from_sorted_codes(new_scale, codes[start:end])
-            candidates.append((child_line, cells))
-    if not candidates:
+        counts[k0:k1] = np.bincount(key, minlength=k1 - k0)
+        chunks.append((k0, k1, codes))
+    # Line's frame of every child; a child whose line misses the unit square
+    # is no candidate, and candidates under the floor are dropped
+    b = kb * delta
+    u0, u1 = _param_ranges(aa, b)
+    live = (counts > 0) & (u0 <= u1)
+    if not live.any():
         raise ConstructionError("bundling produced no children")
-    floor = max(1, max(c.n_cells for _, c in candidates) // 8)
-    kept = [(child, cells) for child, cells in candidates if cells.n_cells >= floor]
-    # Shading's tube check for the whole family at once
-    _check_in_tube([child for child, _ in kept], [cells for _, cells in kept])
-    entries = [(child, Shading._from_checked(child, cells)) for child, cells in kept]
+    kept = live & (counts >= max(1, int(counts[live].max()) // 8))
+    starts = np.cumsum(counts) - counts
+    entries = []
+    for k0, k1, codes in chunks:
+        keys = k0 + np.flatnonzero(kept[k0:k1])
+        fr = _FrameTable(
+            counts[keys], np.zeros(keys.size, dtype=bool), ka[keys], kb[keys],
+            aa[keys], b[keys], u0[keys], u1[keys], nrm[keys],
+        )  # fmt: skip
+        # Shading's tube check for the kept children of the chunk at once
+        _check_in_tube(fr, codes[np.repeat(kept[k0:k1], counts[k0:k1])], delta)
+        lo = starts[keys] - starts[k0]
+        cols = (fr.a_q, fr.b_q, fr.a, fr.b, fr.nrm, fr.u0, fr.u1, lo, lo + fr.sizes)
+        for a_q, b_q, a_, b_, nrm_, u0_, u1_, c0, c1 in zip(*(v.tolist() for v in cols)):
+            child = Line._from_frame(new_scale, CHART_SHALLOW, a_q, b_q, a_, b_, nrm_, u0_, u1_)
+            cells = CellSet._from_sorted_codes(new_scale, codes[c0:c1])
+            entries.append((child, Shading._from_checked(child, cells)))
     return LineFamily(new_scale, tuple(entries))
 
 
@@ -493,7 +505,7 @@ def measure_remark_bullets(F: LineFamily, t: float, s: float) -> dict:
     r = F.scale.delta
     kt = katz_tao_constant(F.dual_points(), t, delta=r)
     masses = [sh.mass for _, sh in F.entries]
-    lam = float(densities(F.shadings).min())
+    lam = float(_densities(F._frames, F.scale).min())
     fr = max(frostman_constant(sh.cells, s).constant for _, sh in F.entries)
     e_mass = union_shadings(F).mass
     predicted = math.sqrt(lam) * r ** ((t - 1.0) / 2.0) * sum(masses)

@@ -9,10 +9,12 @@ coordinates by construction and all duality arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +44,11 @@ CHART_STEEP = "t"
 # whole family at k = 12 holds tens of millions of cells, so the per-cell
 # arrays are built a few thousand at a time.
 _CHUNK_CELLS = 1 << 12
+# (slope x column) entries per batch of _tube_counts.
+_SLOPE_CHUNK = 1 << 16
+# _tube_counts counts a (slope, column) per line when a row bound of the
+# slope's b = 0 tube lies within 2^(k - _TIE_BITS) of an integer.
+_TIE_BITS = 48
 
 
 class GeometryError(ValueError):
@@ -131,6 +138,32 @@ class Line:
         aq = max(-scale.n, min(scale.n, aq))
         return Line(scale, self.chart, aq, bq)
 
+    @staticmethod
+    def _from_frame(scale, chart, a_q, b_q, a, b, nrm, u0, u1) -> "Line":
+        # Fast path: the caller has checked the key as __post_init__ does and
+        # computed the frame with the same operations (see _param_ranges).
+        obj = object.__new__(Line)
+        vars(obj).update(
+            scale=scale, chart=chart, a_q=a_q, b_q=b_q, a=a, b=b, nrm=nrm, u0=u0, u1=u1
+        )
+        return obj
+
+
+def _param_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Line's [u0, u1] for arrays of a and b: the same IEEE operations, and
+    Python's max(0.0, v) and min(1.0, v), which keep the constant on ties
+    (np.maximum(0.0, -0.0) is -0.0).  u1 < u0 where the line misses the
+    square."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at0, at1 = (0.0 - b) / a, (1.0 - b) / a
+    enter, leave = np.where(a > 0, at0, at1), np.where(a > 0, at1, at0)
+    lo, hi = np.where(enter > 0.0, enter, 0.0), np.where(leave < 1.0, leave, 1.0)
+    inside = (0.0 <= b) & (b <= 1.0)
+    flat = a == 0
+    u0 = np.where(flat, np.where(inside, 0.0, 1.0), lo)
+    u1 = np.where(flat, np.where(inside, 1.0, 0.0), hi)
+    return u0, u1
+
 
 def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:
     """Arclength from the square entry u0 and signed offset of the chart
@@ -151,33 +184,59 @@ def _line_chunks(sizes: np.ndarray, limit: int = _CHUNK_CELLS):
         lo = hi
 
 
-def _cell_arcs_and_offsets(
-    lines: Sequence["Line"], cellsets: Sequence[CellSet]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Line.project of the cell centers of cellsets[l] on lines[l] for
-    every l in one pass: flat arrays holding one run per line, in code order.
-    The cell sets share one scale."""
-    sizes = [c.n_cells for c in cellsets]
-    i, j = _decode(np.concatenate([c.codes for c in cellsets]))
-    d = cellsets[0].scale.delta
+class _FrameTable(NamedTuple):
+    """Per-line arrays of a sequence of lines with runs of cells: each line's
+    cell count, steep flag, a_q and b_q, and the frame a, b, u0, u1 and nrm
+    copied from its Line."""
+
+    sizes: np.ndarray
+    steep: np.ndarray
+    a_q: np.ndarray
+    b_q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    u0: np.ndarray
+    u1: np.ndarray
+    nrm: np.ndarray
+
+    @staticmethod
+    def of(pairs: Iterable[tuple["Line", int]]) -> "_FrameTable":
+        """The table of (line, cell count) pairs, in one pass over them."""
+        rows = (
+            (size, ln.chart == CHART_STEEP, ln.a_q, ln.b_q, ln.a, ln.b, ln.u0, ln.u1, ln.nrm)
+            for ln, size in pairs
+        )
+        # every integer here is below 2^53, so the float table holds it exactly
+        table = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64).reshape(-1, 9)
+        sizes, steep, a_q, b_q = table[:, :4].T.astype(np.int64)
+        return _FrameTable(sizes, steep != 0, a_q, b_q, *table[:, 4:].T.copy())
+
+    def rows(self, lo: int, hi: int) -> "_FrameTable":
+        return _FrameTable(*(col[lo:hi] for col in self))
+
+
+def _project(fr: _FrameTable, codes: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Line.project of the centers of the cells `codes`, which hold one run of
+    fr.sizes[l] cells of width d for every line l, in one pass."""
+    i, j = _decode(codes)
     x, y = (i + 0.5) * d, (j + 0.5) * d
-    steep = np.repeat([ln.chart == CHART_STEEP for ln in lines], sizes)
-    per_line = np.array([(ln.a, ln.b, ln.u0, ln.nrm) for ln in lines])
-    a, b, u0, nrm = np.repeat(per_line, sizes, axis=0).T
+    steep = np.repeat(fr.steep, fr.sizes)
+    a, b, u0, nrm = (np.repeat(v, fr.sizes) for v in (fr.a, fr.b, fr.u0, fr.nrm))
     return _arc_and_offset(np.where(steep, y, x), np.where(steep, x, y), a, b, u0, nrm)
 
 
 @contextmanager
-def _lend_projections(shadings: Sequence["Shading"]):
+def _lend_projections(shadings: Sequence["Shading"], fr: _FrameTable):
     """For the duration of the block, Shading.arc_and_offset of every
-    shading returns its read-only run of one _cell_arcs_and_offsets pass over
-    all of them (the same arithmetic as projecting it alone).  The runs are
-    taken back on exit, also when the block raises, so no shading keeps a
-    projection.  The shadings share one scale."""
-    arc, off = _cell_arcs_and_offsets([sh.line for sh in shadings], [sh.cells for sh in shadings])
+    shading returns its read-only run of one _project pass over all of them
+    (the same arithmetic as projecting it alone); fr is their frame table.
+    The runs are taken back on exit, also when the block raises, so no
+    shading keeps a projection.  The shadings share one scale."""
+    codes = np.concatenate([sh.cells.codes for sh in shadings])
+    arc, off = _project(fr, codes, shadings[0].cells.scale.delta)
     arc.flags.writeable = False
     off.flags.writeable = False
-    ends = np.cumsum([sh.cells.n_cells for sh in shadings]).tolist()
+    ends = np.cumsum(fr.sizes).tolist()
     try:
         for sh, lo, hi in zip(shadings, [0] + ends, ends):
             object.__setattr__(sh, "_proj", (arc[lo:hi], off[lo:hi]))
@@ -188,22 +247,18 @@ def _lend_projections(shadings: Sequence["Shading"]):
                 object.__delattr__(sh, "_proj")
 
 
-def _tube_slack(line: "Line", d: float) -> float:
-    """Largest offset a shading cell of width d may have from its line."""
-    return 2.0 * d * line.nrm + 1e-12
+def _tube_slack(nrm, d: float):
+    """Largest offset a shading cell of width d may have from a line with
+    this nrm (a float or an array)."""
+    return 2.0 * d * nrm + 1e-12
 
 
-def _check_in_tube(lines: Sequence["Line"], cellsets: Sequence[CellSet]) -> None:
-    """Shading's tube check for every (lines[l], cellsets[l]) at once, in
-    chunks of lines; the cell sets share one scale."""
-    sizes = np.array([c.n_cells for c in cellsets], dtype=np.int64)
-    for lo, hi in _line_chunks(sizes):
-        chunk = lines[lo:hi]
-        _, off = _cell_arcs_and_offsets(chunk, cellsets[lo:hi])
-        d = cellsets[lo].scale.delta
-        slack = np.repeat([_tube_slack(ln, d) for ln in chunk], sizes[lo:hi])
-        if np.any(np.abs(off) > slack):
-            raise GeometryError("shading cell outside the tube")
+def _check_in_tube(fr: _FrameTable, codes: np.ndarray, d: float) -> None:
+    """Shading's tube check for every line of fr and its run of codes (cells
+    of width d) in one pass."""
+    _, off = _project(fr, codes, d)
+    if np.any(np.abs(off) > np.repeat(_tube_slack(fr.nrm, d), fr.sizes)):
+        raise GeometryError("shading cell outside the tube")
 
 
 def _row_spans(a, b, W, x, d: float, n: int, shift=0) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +303,66 @@ def tube_cell_count(line: Line, w: float, cell_scale: Scale | None = None) -> in
     return int(lens.sum())
 
 
+def _tube_counts(fr: _FrameTable, scale: Scale) -> np.ndarray:
+    """tube_cell_count(line, delta) of every line of fr at this scale (the
+    chart does not change the count), one slope at a time.
+
+    Take x = (col + 0.5) delta and a = a_q delta.  c = a*x + b is exact: it
+    is an integer times delta^2/2, below 2^53 for k <= 25.  So the unclipped
+    rows of a line's tube at a column are those of its slope's b = 0 tube
+    moved by b_q rows, unless a rounding in (c -+ W)/delta - 0.5 carries one
+    across an integer.  As |c -+ W| < 4, the two roundings together are
+    below 2^(k-50), so a column whose b = 0 value lies more than 2^(k-48)
+    from every integer rounds the same way for every b_q.  The other
+    (slope, column) pairs are left out of the shared rows and counted per
+    line with _row_spans, and past k = 25 every pair is.  Clipped to rows
+    [0, n), a line's count is the number of its slope's rows r with
+    0 <= r + b_q < n: two lookups in the prefix sums of the slope's row
+    counts.  Slopes go in chunks of about _SLOPE_CHUNK (slope x column)
+    entries.
+    """
+    k, d, n = scale.k, scale.delta, scale.n
+    order = np.argsort(fr.a_q, kind="stable")
+    slopes, first, per_slope = np.unique(fr.a_q[order], return_index=True, return_counts=True)
+    nrm = fr.nrm[order[first]]  # nrm = hypot(1, a) is the same on every line of a slope
+    b_q = fr.b_q[order]
+    line_ends = np.cumsum(per_slope)
+    x = (np.arange(n, dtype=np.int64) + 0.5) * d
+    tol = math.ldexp(1.0, k - _TIE_BITS) if k <= 25 else math.inf
+    # b = 0 tube rows lie in (-n - 3, n + 3); row r is column r + off
+    off, width = n + 4, 2 * n + 9
+    counts = np.empty(order.size, dtype=np.int64)
+    for s0, s1 in _line_chunks(np.full(slopes.size, n), _SLOPE_CHUNK):
+        m = s1 - s0
+        a, W = slopes[s0:s1, None] * d, d * nrm[s0:s1, None]
+        c = a * x  # b = 0
+        v_lo, v_hi = (c - W) / d - 0.5, (c + W) / d - 0.5
+        near = (np.abs(v_lo - np.round(v_lo)) <= tol) | (np.abs(v_hi - np.round(v_hi)) <= tol)
+        far = ~near
+        # W >= delta, so lo <= hi: +1 at lo and -1 at hi + 1, summed along
+        # the row axis, count the columns whose tube holds each row
+        at = (np.arange(m) * width + off)[far.nonzero()[0]]
+        lo, hi = np.ceil(v_lo[far]).astype(np.int64), np.floor(v_hi[far]).astype(np.int64)
+        size = m * width
+        steps = np.bincount(at + lo, minlength=size) - np.bincount(at + hi + 1, minlength=size)
+        upto = np.zeros((m, width + 1), dtype=np.int64)  # upto[s, i]: rows below i - off
+        upto[:, 1:] = steps.reshape(m, width).cumsum(axis=1).cumsum(axis=1)
+        l0, l1 = line_ends[s0] - per_slope[s0], line_ends[s1 - 1]
+        slope = np.repeat(np.arange(m), per_slope[s0:s1]) * (width + 1)
+        b = b_q[l0:l1]
+        flat = upto.ravel()
+        counts[l0:l1] = (
+            flat[slope + np.clip(n - b + off, 0, width)] - flat[slope + np.clip(off - b, 0, width)]
+        )
+        for s in np.flatnonzero(near.any(axis=1)).tolist():
+            ls = slice(line_ends[s0 + s] - per_slope[s0 + s], line_ends[s0 + s])
+            _, lens = _row_spans(a[s, 0], b_q[ls, None] * d, W[s, 0], x[near[s]], d, n)
+            counts[ls] += lens.sum(axis=1)
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
+
+
 @dataclass(frozen=True)
 class Shading:
     """A union of cells near a line: the lit-up part of the tube.
@@ -268,7 +383,7 @@ class Shading:
         if self.cells.is_empty():
             raise GeometryError("shading must be nonempty")
         _, off = self.arc_and_offset()
-        if np.max(np.abs(off)) > _tube_slack(self.line, self.cells.scale.delta):
+        if np.max(np.abs(off)) > _tube_slack(self.line.nrm, self.cells.scale.delta):
             raise GeometryError("shading cell outside the tube")
 
     @staticmethod
@@ -337,6 +452,12 @@ class LineFamily:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @functools.cached_property
+    def _frames(self) -> _FrameTable:
+        """The frame table of the lines and their shading sizes, built on
+        first use (the dataclass fields, and so eq and hash, ignore it)."""
+        return _FrameTable.of((ln, sh.cells.codes.size) for ln, sh in self.entries)
+
     @property
     def lines(self) -> list[Line]:
         return [e[0] for e in self.entries]
@@ -347,7 +468,7 @@ class LineFamily:
 
     def dual_points(self) -> np.ndarray:
         """(n, 2) array of chart-local dual coordinates (a, b)."""
-        return np.array([[ln.a, ln.b] for ln, _ in self.entries], dtype=np.float64)
+        return np.stack([self._frames.a, self._frames.b], axis=1)
 
     def multiplicity_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of how many shadings cover each cell of E_L."""

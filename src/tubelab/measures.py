@@ -21,10 +21,11 @@ from .grid import CellSet, Scale, _member, _sorted_counts
 from .geometry import (
     LineFamily,
     Shading,
-    _cell_arcs_and_offsets,
+    _FrameTable,
     _lend_projections,
     _line_chunks,
-    _row_spans,
+    _project,
+    _tube_counts,
 )
 
 __all__ = [
@@ -260,19 +261,19 @@ def density(Y: Shading) -> float:
 
 
 def densities(shadings: Sequence[Shading]) -> np.ndarray:
-    """density of every shading (one scale).  The tube counts of a chunk of
-    lines come from one (line x column) _row_spans, as in tube_cell_count."""
+    """density of every shading (one scale)."""
     scale = _one_scale(shadings)
-    d, n = scale.delta, scale.n
-    a, b, W = np.array(
-        [(sh.line.a, sh.line.b, d * sh.line.nrm) for sh in shadings]
-    ).T[:, :, None]
-    x = (np.arange(n, dtype=np.int64) + 0.5) * d
-    tubes = np.empty(len(shadings), dtype=np.int64)
-    for lo, hi in _line_chunks(np.full(len(shadings), n)):
-        _, lens = _row_spans(a[lo:hi], b[lo:hi], W[lo:hi], x, d, n)
-        tubes[lo:hi] = lens.sum(axis=1)
-    return np.array([sh.cells.n_cells for sh in shadings]) / tubes
+    return _densities(_frames_of(shadings), scale)
+
+
+def _frames_of(shadings: Sequence[Shading]) -> _FrameTable:
+    return _FrameTable.of((sh.line, sh.cells.codes.size) for sh in shadings)
+
+
+def _densities(fr: _FrameTable, scale: Scale) -> np.ndarray:
+    """densities from a frame table: the tube counts come once per slope
+    (geometry._tube_counts)."""
+    return fr.sizes / _tube_counts(fr, scale)
 
 
 def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
@@ -287,7 +288,17 @@ def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
 
 
 def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) -> np.ndarray:
-    """two_ends_constant of every shading (one scale).
+    """two_ends_constant of every shading (one scale)."""
+    if not (0.0 < eps2 < eps1 < 1.0):
+        raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
+    d = _one_scale(shadings).delta
+    return _two_ends(_frames_of(shadings), shadings, d, eps1, eps2)
+
+
+def _two_ends(
+    fr: _FrameTable, shadings: Sequence[Shading], d: float, eps1: float, eps2: float
+) -> np.ndarray:
+    """two_ends_constants from the shadings' frame table.
 
     A chunk of lines holds the arc positions of all its cells in one flat
     array, one run per line.  Each cell's candidate window [c, c + W] adds a
@@ -296,19 +307,17 @@ def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) ->
     positions at the end event minus the one at the start event is the
     window's count, positions on either end included.
     """
-    if not (0.0 < eps2 < eps1 < 1.0):
-        raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
-    d = _one_scale(shadings).delta
     W = d**eps1
-    sizes = np.array([sh.cells.n_cells for sh in shadings], dtype=np.int64)
+    sizes = fr.sizes
+    # lam = max(length_in_square, d); a window starts at most at lam - W
+    lam = np.maximum(np.where(fr.u1 > fr.u0, fr.u1 - fr.u0, 0.0) * fr.nrm, d)
+    last = np.where(lam > W, lam - W, np.inf)
     best = np.empty(len(shadings), dtype=np.int64)
     for lo, hi in _line_chunks(sizes):
-        chunk = shadings[lo:hi]
-        pos, _ = _cell_arcs_and_offsets([sh.line for sh in chunk], [sh.cells for sh in chunk])
+        codes = np.concatenate([sh.cells.codes for sh in shadings[lo:hi]])
+        pos, _ = _project(fr.rows(lo, hi), codes, d)
         line = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        lam = np.array([max(sh.line.length_in_square(), d) for sh in chunk])
-        start = np.minimum(np.floor(pos / d) * d, np.where(lam > W, lam - W, np.inf)[line])
-        start = np.maximum(start, 0.0)
+        start = np.maximum(np.minimum(np.floor(pos / d) * d, last[lo:hi][line]), 0.0)
         m = pos.size
         kind = np.repeat(np.arange(3, dtype=np.int8), m)
         order = np.lexsort((kind, np.concatenate([start, pos, start + W]), np.tile(line, 3)))
@@ -408,10 +417,10 @@ def gamma_sup(F: LineFamily, t: float) -> GammaReport:
     if len(F) == 0:
         raise MeasureError("gamma_sup of an empty family")
     shadings = F.shadings
-    sizes = np.array([sh.cells.n_cells for sh in shadings], dtype=np.int64)
+    fr = F._frames
     best: GammaReport | None = None
-    for lo, hi in _line_chunks(sizes):
-        with _lend_projections(shadings[lo:hi]):
+    for lo, hi in _line_chunks(fr.sizes):
+        with _lend_projections(shadings[lo:hi], fr.rows(lo, hi)):
             for sh in shadings[lo:hi]:
                 rep = gamma(sh, t)
                 if best is None or rep.value > best.value:

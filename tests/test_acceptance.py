@@ -120,6 +120,7 @@ def test_criterion_04_sharpness_case1():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_sharpness_case2():
     spec = ConfigSpec(delta=2.0**-8, t=1.5, s=0.05, r=2.0**-5, seed=405, kind="case2")
     deltas = [2.0**-6, 2.0**-8, 2.0**-10, 2.0**-12]
@@ -139,6 +140,7 @@ def test_criterion_05_sharpness_case2():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_theorem_on_random_corpus():
     checked = 0
     passed_hypotheses = 0

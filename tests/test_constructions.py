@@ -34,11 +34,12 @@ from tubelab.constructions import (
     ConfigSpec,
     _cantor_points_2d,
     _katz_tao_caps,
+    build_config,
     bundle_offsets,
     inverse_rescale_case1,
     measure_remark_bullets,
 )
-from tubelab.geometry import _CHUNK_CELLS, CHART_SHALLOW, CHART_STEEP, _check_in_tube
+from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _check_in_tube, _FrameTable
 from tubelab.grid import _check_codes
 
 from conftest import (
@@ -443,14 +444,34 @@ def test_case2_bundle_matches_reference_across_chunks(monkeypatch):
     assert len(chunks) > 4 * len(base)
 
 
+@pytest.mark.parametrize("seed", [405, 406])
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+def test_case2_children_are_the_lines_their_keys_make(seed, k):
+    # bundle_case2 makes its children through Line's fast path, from frames
+    # computed on arrays; each must be the Line of its key, bit for bit
+    spec = ConfigSpec(delta=2.0**-k, t=1.5, s=0.05, r=2.0**-4, seed=seed, kind="case2")
+    fam = build_config(spec)
+    frame = ("a", "b", "nrm", "u0", "u1")
+    for child, sh in fam.entries:
+        line = Line(fam.scale, child.chart, child.a_q, child.b_q)
+        assert child == line and sh.line is child
+        assert vars(child) == vars(line)
+        assert [getattr(child, f).hex() for f in frame] == [getattr(line, f).hex() for f in frame]
+        assert type(child.a_q) is int and type(child.b_q) is int
+
+
 def test_batched_tube_check_raises_like_shading():
-    # the seed-405 case-2 point spans several chunks; the bad child sits in the last
+    # the seed-405 case-2 point; the bad child is the last
     fam = bundle_case2(build_base(2.0**-4, 1.5, 0.05, seed=405), 2.0**-7, 1.5)
     lines = [ln for ln, _ in fam.entries]
     cells = [sh.cells for _, sh in fam.entries]
-    assert sum(c.n_cells for c in cells) > 2 * _CHUNK_CELLS
-    _check_in_tube(lines, cells)
     sc, n = fam.scale, fam.scale.n
+
+    def check(cellsets):
+        fr = _FrameTable.of((ln, c.n_cells) for ln, c in zip(lines, cellsets))
+        _check_in_tube(fr, np.concatenate([c.codes for c in cellsets]), sc.delta)
+
+    check(cells)
     i, j = cells[-1].ij()
     # 6 rows up or down: over 6 delta / hypot(1, a) - delta off, past 2 delta hypot(1, a)
     j = j.copy()
@@ -459,7 +480,7 @@ def test_batched_tube_check_raises_like_shading():
     with pytest.raises(GeometryError) as single:
         Shading(lines[-1], bad)
     with pytest.raises(GeometryError) as batched:
-        _check_in_tube(lines, [*cells[:-1], bad])
+        check([*cells[:-1], bad])
     assert str(batched.value) == str(single.value) == "shading cell outside the tube"
 
 
@@ -556,8 +577,6 @@ def test_bush_and_grid_configs():
 
 
 def test_config_spec_validation_and_dispatch():
-    from tubelab.constructions import build_config
-
     spec = ConfigSpec(delta=2.0**-7, t=1.0, s=1.0, r=2.0**-3, seed=5, kind="bush")
     fam = build_config(spec)
     assert len(fam) > 4

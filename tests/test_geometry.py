@@ -28,7 +28,9 @@ from tubelab.geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
     _check_in_tube,
+    _FrameTable,
     _line_chunks,
+    _param_ranges,
     segment_count,
     tube_cell_count,
 )
@@ -232,7 +234,7 @@ def test_tube_check_on_the_slack_boundary(k):
                     bound = 2 * sc.delta * math.hypot(1.0, line.a)
                     assert bound * (1 - 1e-15) <= off <= bound
                     Shading(line, cells)
-                    _check_in_tube([line], [cells])
+                    _check_in_tube(_FrameTable.of([(line, 1)]), cells.codes, sc.delta)
                     if 0 <= cj - sgn < n:
                         with pytest.raises(GeometryError):
                             Shading(line, CellSet.from_cells(sc, [flip(ci, cj - sgn)]))
@@ -516,3 +518,62 @@ def test_line_chunks_cover_in_order_and_fill_to_the_bound(sizes):
         total = int(sizes[lo:hi].sum())
         assert hi - lo == 1 or total <= _CHUNK_CELLS
         assert hi == sizes.size or total + sizes[hi] > _CHUNK_CELLS
+
+
+# -- the frame table and Line's fast path -------------------------------------------
+
+_FRAME = ("a", "b", "nrm", "u0", "u1")
+
+
+def _frame_bits(line: Line) -> tuple:
+    """a_q, b_q, chart and the frame floats bit for bit (float.hex tells -0.0
+    from 0.0)."""
+    return (line.a_q, line.b_q, line.chart, *(float(getattr(line, f)).hex() for f in _FRAME))
+
+
+def test_frame_table_holds_every_lines_attributes():
+    rng = np.random.default_rng(31)
+    sc = Scale(6)
+    lines = {}
+    while len(lines) < 40:  # both charts
+        line = random_line(rng, sc)
+        lines[(line.chart, line.a_q, line.b_q)] = line
+    F = LineFamily(sc, tuple((ln, random_shading(rng, ln)) for ln in lines.values()))
+    fr = F._frames
+    assert fr is F._frames  # built once
+    assert fr.sizes.tolist() == [sh.cells.n_cells for _, sh in F.entries]
+    assert fr.steep.tolist() == [ln.chart == CHART_STEEP for ln, _ in F.entries]
+    assert fr.steep.any() and not fr.steep.all()
+    assert fr.a_q.tolist() == [ln.a_q for ln, _ in F.entries]
+    assert fr.b_q.tolist() == [ln.b_q for ln, _ in F.entries]
+    for f in _FRAME:
+        got = [v.hex() for v in getattr(fr, f).tolist()]
+        assert got == [float(getattr(ln, f)).hex() for ln, _ in F.entries], f
+    # the cached table is no field: eq and hash see only scale and entries
+    G = LineFamily(F.scale, F.entries)
+    assert G == F and hash(G) == hash(F)
+    assert np.array_equal(F.dual_points(), [[ln.a, ln.b] for ln, _ in F.entries])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_param_ranges_and_fast_path_match_line(k):
+    # every key of the chart's range, the lines that miss the square included
+    sc = Scale(k)
+    n, d = sc.n, sc.delta
+    keys = [(a_q, b_q) for a_q in range(-n, n + 1) for b_q in range(-n, 2 * n + 1)]
+    a_q, b_q = np.array(keys).T
+    u0, u1 = _param_ranges(a_q * d, b_q * d)
+    missed = 0
+    for (aq, bq), lo, hi in zip(keys, u0.tolist(), u1.tolist()):
+        try:
+            line = Line(sc, "s", aq, bq)
+        except GeometryError:
+            assert hi < lo
+            missed += 1
+            continue
+        assert (lo.hex(), hi.hex()) == (line.u0.hex(), line.u1.hex())
+        fast = Line._from_frame(sc, "s", aq, bq, line.a, line.b, line.nrm, lo, hi)
+        assert fast == line and hash(fast) == hash(line)
+        assert _frame_bits(fast) == _frame_bits(line)
+        assert vars(fast) == vars(line)
+    assert missed > 0

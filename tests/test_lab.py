@@ -406,6 +406,7 @@ def _run_module_cli(tmp_path, module):
     argv = [sys.executable, "-m", module, "generate", "--kind", "bush", "--delta", "2^-5"]
     proc = subprocess.run(argv + ["--out", str(tmp_path)], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""  # no runpy warning: the module runs once
     assert (tmp_path / "family.json").exists()
 
 

@@ -21,9 +21,9 @@ from tubelab import (
     two_ends_constant,
     two_ends_constants,
 )
-from tubelab import measures
+from tubelab import geometry, measures
 from tubelab.constructions import ConfigSpec
-from tubelab.geometry import _CHUNK_CELLS
+from tubelab.geometry import _CHUNK_CELLS, GeometryError, _tube_counts, tube_cell_count
 from tubelab.grid import coarsen
 from tubelab.lab import build_sweep_family
 from tubelab.measures import MeasureError, TripledCaps, frostman_constant_1d, gamma_value_at
@@ -522,6 +522,68 @@ def test_two_ends_constants_match_reference_on_ties(k, chart, mode, corner, edge
     assert got == reference_two_ends_constant(sh, eps1, eps1 / 2)
 
 
+# -- tube counts once per slope -----------------------------------------------------
+
+
+def _slope_sharing_shadings(rng: np.random.Generator, k: int, n_slopes: int) -> list[Shading]:
+    """One-cell shadings on lines that share a few slopes over many b_q:
+    a_q = 0 and a = +-3/4 (where c -+ W is exact) among them, b_q from the
+    whole intercept range and next to rows 0 and n - 1, both charts."""
+    sc = Scale(k)
+    n = sc.n
+    special = [0, 3 * n // 4, -3 * n // 4, n, -n]
+    slopes = {special[int(rng.integers(len(special)))] for _ in range(n_slopes)}
+    slopes |= {int(v) for v in rng.integers(-n, n + 1, size=n_slopes)}
+    edges = [-n, -2, -1, 0, 1, n - 2, n - 1, n, 2 * n - 1, 2 * n]
+    out = []
+    for a_q in sorted(slopes):
+        for b_q in set(edges) | {int(v) for v in rng.integers(-n, 2 * n + 1, size=12)}:
+            try:
+                line = Line(sc, "s" if rng.random() < 0.5 else "t", a_q, b_q)
+            except GeometryError:  # misses the square
+                continue
+            tube = tube_cells(line, sc.delta)
+            if tube.n_cells:
+                pick = [int(rng.integers(tube.n_cells))]
+                out.append(Shading(line, CellSet(sc, tube.codes[pick])))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["shared", "every_column_alone", "one_slope_per_chunk"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(2, 9), n_slopes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_densities_per_slope_match_reference(mode, k, n_slopes, seed):
+    shadings = _slope_sharing_shadings(np.random.default_rng(seed), k, n_slopes)
+    want = np.array([reference_density(sh) for sh in shadings])
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "every_column_alone":  # a tolerance of 2^k flags every column
+            mp.setattr(geometry, "_TIE_BITS", 0)
+        elif mode == "one_slope_per_chunk":
+            mp.setattr(geometry, "_SLOPE_CHUNK", 1)
+        assert np.array_equal(densities(shadings), want)
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_tube_counts_per_slope_match_tube_cell_count_at_fine_scales(k):
+    # one chunk of slopes at k = 12, one slope per chunk at k = 16; a = 3/4 and
+    # a = 0 among the slopes, intercepts that clip at rows 0 and n - 1
+    rng = np.random.default_rng(k)
+    sc = Scale(k)
+    n = sc.n
+    slopes = [0, 3 * n // 4, -n, *(int(v) for v in rng.integers(-n, n + 1, size=5))]
+    lines = []
+    for a_q in slopes:
+        for b_q in [0, 1, n - 1, *(int(v) for v in rng.integers(-n, 2 * n + 1, size=20))]:
+            try:
+                lines.append(Line(sc, "s", a_q, b_q))
+            except GeometryError:
+                continue
+    fr = geometry._FrameTable.of((ln, 1) for ln in lines)
+    want = [tube_cell_count(ln, sc.delta) for ln in lines]
+    assert _tube_counts(fr, sc).tolist() == want
+
+
 def test_family_kernels_reject_mixed_or_no_scales():
     a = _horizontal_shading(6, np.arange(5))
     b = _horizontal_shading(7, np.arange(5))
@@ -760,6 +822,26 @@ def test_gamma_sup_matches_fresh_shadings_on_random_families(chart, k, n_lines, 
     for t in (0.0, 0.3, 1.0):
         assert gamma_sup(F, t) == _fresh_gamma_max(F, t)
     assert _lent(F) == []
+
+
+@pytest.mark.parametrize("which", ["case2-405", "case2-406", "s", "t", "mixed"])
+def test_family_table_kernels_match_shading_lists(which):
+    # lab measures density and two-ends from the family's frame table, and
+    # gamma_sup projects from it; the public kernels build a table from a
+    # plain list of shadings.  Each family spans several chunks of lines.
+    if which.startswith("case2"):
+        seed = int(which[-3:])
+        spec = ConfigSpec(delta=2.0**-7, t=1.5, s=0.05, r=2.0**-4, seed=seed, kind="case2")
+        F = build_sweep_family(spec, 2.0**-7)
+    else:
+        F = _charted_family(4, 7, 100, None if which == "mixed" else which)
+    shadings = list(F.shadings)
+    assert sum(sh.cells.n_cells for sh in shadings) > 2 * _CHUNK_CELLS
+    d = F.scale.delta
+    assert np.array_equal(measures._densities(F._frames, F.scale), densities(shadings))
+    got = measures._two_ends(F._frames, shadings, d, 0.1, 0.05)
+    assert np.array_equal(got, two_ends_constants(shadings, 0.1, 0.05))
+    assert gamma_sup(F, 0.5) == _fresh_gamma_max(F, 0.5)
 
 
 def test_gamma_sup_takes_back_the_projections_when_gamma_raises(monkeypatch):

@@ -32,7 +32,11 @@ def test_reexports_are_in_their_modules_all():
                 for alias in node.names
                 if not alias.name.startswith("_") and alias.name not in exported
             ]
+    # lab's names are re-exported lazily, through the package's __getattr__
+    lab = importlib.import_module("tubelab.lab")
+    outside += [f"lab.{name}" for name in tubelab._LAB_NAMES if name not in lab.__all__]
     assert not outside, f"re-exported but not in the module's __all__: {outside}"
+    assert all(getattr(tubelab, name) is getattr(lab, name) for name in tubelab._LAB_NAMES)
 
 
 def test_no_module_imports_scipy():
