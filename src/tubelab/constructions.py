@@ -30,7 +30,7 @@ from .geometry import (
     tube_cells,
     union_shadings,
 )
-from .measures import TripledCaps, _densities, katz_tao_constant, frostman_constant
+from .measures import TripledCaps, _densities, _keep_capped, katz_tao_constant, frostman_constant
 
 __all__ = [
     "ConstructionError",
@@ -150,11 +150,12 @@ def _cantor_positions_1d(
     return np.sort(pos, axis=1)
 
 
-def _katz_tao_caps(delta: float, s: float, cap: float) -> TripledCaps:
-    """Greedy acceptance keeping every tripled dyadic cell 3Q at every dyadic
-    scale r in [delta, 1] at most cap*(r/delta)^s full."""
+def _katz_tao_levels(delta: float, s: float, cap: float) -> list[tuple[float, float]]:
+    """The (r, cap) levels of a greedy acceptance keeping every tripled dyadic
+    cell 3Q at every dyadic scale r in [delta, 1] at most cap*(r/delta)^s
+    full, fine to coarse."""
     k = round(math.log2(1.0 / delta))
-    return TripledCaps([(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)])
+    return [(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)]
 
 
 def build_base(
@@ -174,7 +175,7 @@ def build_base(
         raise ConstructionError(f"shading exponent {s} outside (0, 1]")
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
-    keep = _katz_tao_caps(r, t, 8.0).keep_mask(duals.astype(np.float64) * r)
+    keep = _keep_capped(_katz_tao_levels(r, t, 8.0), duals.astype(np.float64) * r)
     lines = [Line(scale, chart, a_q, b_q) for a_q, b_q in duals[keep].tolist()]
     # edge-clipped lines are too short to carry the target mass and would
     # skew the family's density and non-concentration profile
@@ -413,7 +414,7 @@ def random_config(
     n_target = max(1, min(round(delta**-t), max_lines))
     rng = np.random.default_rng(np.random.PCG64(seed))
     n = scale.n
-    caps = _katz_tao_caps(delta, t, 16.0)
+    caps = TripledCaps(_katz_tao_levels(delta, t, 16.0))
     chosen: list[tuple[int, int]] = []
     seen = set()
     attempts = 0

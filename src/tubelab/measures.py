@@ -164,6 +164,19 @@ class TripledCaps:
         return keep
 
 
+def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.ndarray:
+    """TripledCaps(levels).keep_mask(pts), from the levels whose cap can bind.
+
+    Before each candidate, a fresh TripledCaps given n points holds at most
+    n - 1 of them in any 3Q, so a level with cap >= n never rejects one: it
+    is left out, and with no level left every point is kept.  The key-width
+    refusal still checks the finest of all levels."""
+    n = pts.shape[0]
+    _check_key_width(np.abs(pts).max(initial=0.0), min(r for r, _ in levels))
+    binding = [(r, cap) for r, cap in levels if cap < n]
+    return TripledCaps(binding).keep_mask(pts) if binding else np.ones(n, dtype=bool)
+
+
 def _unpack(key: int) -> tuple[int, int]:
     """Inverse of the iq * 2^32 + jq key of _cell_keys; jq is signed, so iq
     is the nearest multiple, not the floor."""
@@ -298,45 +311,76 @@ def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) ->
 def _two_ends(
     fr: _FrameTable, shadings: Sequence[Shading], d: float, eps1: float, eps2: float
 ) -> np.ndarray:
-    """two_ends_constants from the shadings' frame table.
+    """two_ends_constants from the shadings' frame table, on integer grid
+    indices.
 
-    A chunk of lines holds the arc positions of all its cells in one flat
-    array, one run per line.  Each cell's candidate window [c, c + W] adds a
-    start event at c and an end event at c + W.  Sorted by (line, value,
-    kind) with start < position < end on ties, the running count of
-    positions at the end event minus the one at the start event is the
-    window's count, positions on either end included.
+    Each cell's candidate window is [c, fl(c + W)], c = g*delta with g =
+    max(F(p), 0) and F(p) = floor(p/delta) for its arc position p, unless
+    g*delta passes last = lam - W; those cells all share the window [last,
+    fl(last + W)] of their line, counted elementwise.  delta = 2^-k, so p/delta
+    is exact and a position q lies past the start of the window at g exactly
+    when F(q) >= g.  It lies before the end exactly when g >= G(q), the least
+    g with fl(g*delta + W) >= q, because fl(g*delta + W) does not decrease in
+    g.  The guess ceil((q - W)/delta) is within one step of G(q) (its two
+    roundings move it by far less than delta, since k <= 32 and |q| < 2), so
+    one check in each direction makes it exact.  Every q with F(q) < g has
+    G(q) <= g, so the window at g holds #(G <= g) - #(F < g) of its line's
+    positions: two searchsorted calls into the sorted keys of a chunk.
+
+    A key is line * 2^(k+4) + index, line < _CHUNK_CELLS = 2^12 within a
+    chunk.  Positions lie within [-1, 2], so |F|, |G| and g stay below
+    2^(k+2) and the keys of one line never reach the next; Scale keeps k <= 32,
+    so every key is below 2^48 and fits int64.
     """
     W = d**eps1
     sizes = fr.sizes
     # lam = max(length_in_square, d); a window starts at most at lam - W
     lam = np.maximum(np.where(fr.u1 > fr.u0, fr.u1 - fr.u0, 0.0) * fr.nrm, d)
     last = np.where(lam > W, lam - W, np.inf)
+    span = round(16.0 / d)  # 2^(k+4)
     best = np.empty(len(shadings), dtype=np.int64)
     for lo, hi in _line_chunks(sizes):
         codes = np.concatenate([sh.cells.codes for sh in shadings[lo:hi]])
         pos, _ = _project(fr.rows(lo, hi), codes, d)
-        line = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        start = np.maximum(np.minimum(np.floor(pos / d) * d, last[lo:hi][line]), 0.0)
-        m = pos.size
-        kind = np.repeat(np.arange(3, dtype=np.int8), m)
-        order = np.lexsort((kind, np.concatenate([start, pos, start + W]), np.tile(line, 3)))
-        seen = np.empty(3 * m, dtype=np.int64)
-        seen[order] = np.cumsum(kind[order] == 1)
-        heads = np.cumsum(sizes[lo:hi]) - sizes[lo:hi]
-        best[lo:hi] = np.maximum.reduceat(seen[2 * m :] - seen[:m], heads)
+        n = sizes[lo:hi]
+        heads = np.cumsum(n) - n
+        line = np.repeat(np.arange(hi - lo, dtype=np.int64) * span, n)
+        F = np.floor(pos / d)
+        G = np.ceil((pos - W) / d)
+        G += G * d + W < pos
+        G -= (G - 1.0) * d + W >= pos
+        # Sorting keeps each line's run in place, so line and tail still
+        # hold per entry; the cells' order within a line does not matter.
+        keys = np.sort(line + F.astype(np.int64))
+        at = np.maximum(keys, line)
+        count = np.searchsorted(np.sort(line + G.astype(np.int64)), at, side="right")
+        count -= np.searchsorted(keys, at, side="left")
+        tail = np.repeat(last[lo:hi], n)
+        clamped = (keys - line) * d > tail
+        if clamped.any():
+            shared = np.add.reduceat((pos >= tail) & (pos <= tail + W), heads)
+            count[clamped] = np.repeat(shared, n)[clamped]
+        best[lo:hi] = np.maximum.reduceat(count, heads)
     return best / (d**eps2 * sizes)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per k, and Scale keeps k <= 32
-def _scale_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _scale_rows(k: int) -> np.ndarray:
     """gamma's rows at delta = 2^-k: r^2 of r = 2^(i-k) for row i as a
-    column, and the row indices.  Read-only, since every call shares them."""
+    column.  Read-only, since every call shares it."""
     r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))[:, None]
-    rows = np.arange(k + 1)
     r2.flags.writeable = False
-    rows.flags.writeable = False
-    return r2, rows
+    return r2
+
+
+@functools.lru_cache(maxsize=256)
+def _row_factors(k: int, t: float) -> np.ndarray:
+    """gamma's factors (delta/r)^t at delta = 2^-k, r = 2^(i-k) for row i, each
+    computed in Python floats.  Read-only, since every call shares them."""
+    d = 2.0**-k
+    factors = np.array([(d / 2.0 ** (i - k)) ** t for i in range(k + 1)])
+    factors.flags.writeable = False
+    return factors
 
 
 def gamma(Y: Shading, t: float) -> GammaReport:
@@ -348,12 +392,14 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     [arc - w, arc + w].  delta = 2^-k, so left/delta and right/delta are
     exact, and the cell covers the grid point x = m*delta, 0 <= m <= M =
     floor(lambda/delta), exactly when lo = ceil(left/delta) <= m <= hi =
-    floor(right/delta).  A +1 at lo and a -1 at hi+1, summed along the row,
-    give the cover count of every grid point; argmax keeps the first (least
-    x) maximum of each row.  When lambda lies within 1e-12 below the next
-    grid point, that point counts as x = lambda (a 1e-12 slack at the end of
-    the line), the row's last column, whose cover is tested in floats.  Rows
-    go fine to coarse with a strict >, so ties keep the finest scale.
+    floor(right/delta).  A +1 at lo and a -1 at hi+1, summed along the flat
+    table (each row's steps sum to 0), give the cover count of every grid
+    point.  When lambda lies within 1e-12 below the next grid point, that
+    point counts as x = lambda (a 1e-12 slack at the end of the line), the
+    row's last column, whose cover is tested in floats.  Each row's value is
+    its factor (delta/r)^t times its largest count; one argmax over the rows,
+    fine to coarse, and one along the chosen row keep the first maximum, so
+    ties keep the finest scale and then the least x.
     """
     if not (0.0 <= t <= 1.0):
         raise MeasureError(f"gamma exponent {t} outside [0, 1]")
@@ -362,8 +408,7 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     arc, off = Y.arc_and_offset()
     lam = max(Y.line.length_in_square(), d)
     M = math.floor(lam / d)
-    r2, row_index = _scale_rows(k)
-    reach2 = r2 - (off * off)[None, :]
+    reach2 = _scale_rows(k) - (off * off)[None, :]
     mask = reach2 > 0.0
     rows, cols = mask.nonzero()
     w = np.sqrt(reach2[mask])
@@ -374,20 +419,18 @@ def gamma(Y: Shading, t: float) -> GammaReport:
     at = rows[ok] * (M + 2)
     size = (k + 1) * (M + 2)
     steps = np.bincount(at + lo[ok], minlength=size) - np.bincount(at + hi[ok] + 1, minlength=size)
-    cover = steps.reshape(k + 1, M + 2).cumsum(axis=1)  # column M+1 sums to 0
+    cover = steps.cumsum().reshape(k + 1, M + 2)  # every row's steps sum to 0
     if math.floor((lam + 1e-12) / d) > M:
         cover[:, M + 1] = np.bincount(rows[(left <= lam) & (lam <= right)], minlength=k + 1)
-    first = cover.argmax(axis=1)
-    counts = cover[row_index, first]
-    best = -1.0
-    wit_r, wit_arc = d, 0.0
-    for i in np.flatnonzero(counts).tolist():
-        r = 2.0 ** (i - k)
-        value = (d / r) ** t * int(counts[i])
-        if value > best:
-            best = float(value)
-            m = int(first[i])
-            wit_r, wit_arc = r, (m * d if m <= M else lam)
+    counts = cover.max(axis=1)
+    values = _row_factors(k, t) * counts
+    i = int(values.argmax())
+    if counts[i]:
+        best = float(values[i])
+        m = int(cover[i].argmax())
+        wit_r, wit_arc = 2.0 ** (i - k), (m * d if m <= M else lam)
+    else:
+        best, wit_r, wit_arc = -1.0, d, 0.0
     point = Y.line.point_at_arc(wit_arc)
     return GammaReport(t, best, wit_r, (float(point[0]), float(point[1])), wit_arc)
 

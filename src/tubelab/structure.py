@@ -28,8 +28,8 @@ from .grid import (
 from .geometry import Line, LineFamily, Shading, _greedy_count_below, _greedy_windows, multiplicity
 from .measures import (
     MeasureError,
-    TripledCaps,
     _as_points,
+    _keep_capped,
     _tripled_max,
     frostman_constant_1d,
     gamma,
@@ -528,7 +528,7 @@ def katz_tao_subsample(E, rho: float, s: float, delta: float | None = None):
     while r <= 1.0:
         levels.append((r, 8.0 * (r / rho) ** s))
         r *= 2.0
-    keep = TripledCaps(levels).keep_mask(pts)
+    keep = _keep_capped(levels, pts)
     if is_cellset:  # pts are the centers of E's cells, in code order
         return CellSet(E.scale, E.codes[keep])
     return pts[keep]

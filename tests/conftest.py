@@ -14,12 +14,12 @@ from tubelab.constructions import (
     ConstructionError,
     _cantor_points_2d,
     _digit_schedule,
-    _katz_tao_caps,
+    _katz_tao_levels,
     _scale_of,
     bundle_offsets,
 )
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError, tube_cell_count
-from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport
+from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport, TripledCaps
 
 
 # -- random generators -------------------------------------------------------
@@ -387,7 +387,7 @@ def reference_build_base(
         raise ConstructionError(f"shading exponent {s} outside (0, 1]")
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
-    keep = _katz_tao_caps(r, t, 8.0).keep_mask(duals.astype(np.float64) * r)
+    keep = TripledCaps(_katz_tao_levels(r, t, 8.0)).keep_mask(duals.astype(np.float64) * r)
     duals = duals[keep]
     entries = []
     for a_q, b_q in duals:

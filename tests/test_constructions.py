@@ -33,7 +33,7 @@ from tubelab import constructions
 from tubelab.constructions import (
     ConfigSpec,
     _cantor_points_2d,
-    _katz_tao_caps,
+    _katz_tao_levels,
     build_config,
     bundle_offsets,
     inverse_rescale_case1,
@@ -41,6 +41,7 @@ from tubelab.constructions import (
 )
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _check_in_tube, _FrameTable
 from tubelab.grid import _check_codes
+from tubelab.measures import _keep_capped
 
 from conftest import (
     random_family,
@@ -95,7 +96,7 @@ def test_build_base_greedy_matches_reference(k, t, cap, seed):
     pts = _cantor_points_2d(k, t, np.random.default_rng(np.random.PCG64(seed))) * r
     order = np.lexsort((pts[:, 0], pts[:, 1]))
     expected = reference_capped_accept(pts, reference_katz_tao_levels(r, t, cap), order)
-    assert np.array_equal(_katz_tao_caps(r, t, cap).keep_mask(pts), expected)
+    assert np.array_equal(_keep_capped(_katz_tao_levels(r, t, cap), pts), expected)
 
 
 # build_base against its per-line oracle.  Two inputs are injected, into both

@@ -319,6 +319,45 @@ def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, se
         assert not expected.any()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),
+    caps=st.lists(
+        st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 40.0)), min_size=1, max_size=4
+    ),
+    n=st.integers(0, 30),
+    on_grid=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_keep_capped_matches_reference(k, caps, n, on_grid, seed):
+    # levels with cap >= n are left out: some, all (n <= every cap) or none,
+    # and caps below 1 close the greedy
+    rng = np.random.default_rng(seed)
+    d = 2.0**-k
+    levels = [(d * 2**l, cap) for l, cap in enumerate(caps)]
+    if on_grid:
+        pts = rng.integers(-(1 << k), (1 << k) + 1, size=(n, 2)).astype(np.float64) * d
+    else:
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    order = np.lexsort((pts[:, 0], pts[:, 1]))
+    expected = reference_capped_accept(pts, levels, order)
+    assert np.array_equal(measures._keep_capped(levels, pts), expected)
+    if n <= min(caps):
+        assert expected.all()
+
+
+def test_keep_capped_refuses_keys_past_the_width_of_a_dropped_level():
+    # both levels have cap >= n and are left out, but the finest one's keys
+    # would pass 2^31 - 1, as TripledCaps.keep_mask refuses them
+    pts = np.array([[2.0, 0.0], [0.0, 0.5]])
+    levels = [(2.0**-30, 4.0), (1.0, 4.0)]
+    with pytest.raises(MeasureError, match="32-bit key"):
+        TripledCaps(levels).keep_mask(pts)
+    with pytest.raises(MeasureError, match="32-bit key"):
+        measures._keep_capped(levels, pts)
+    assert measures._keep_capped([(2.0**-29, 4.0), (1.0, 4.0)], pts).all()
+
+
 def test_frostman_1d_uniform_vs_cluster():
     uniform = frostman_constant_1d(np.linspace(0, 1, 65), 2.0**-6, 1.0)
     assert uniform.constant <= 4.0
@@ -457,21 +496,29 @@ def test_densities_match_reference(k, chart, mode, corner, chunks, seed):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    k=st.integers(2, 8),
+    k=st.one_of(st.integers(2, 8), st.sampled_from([12, 16])),
     chart=st.sampled_from(["s", "t", None]),
     mode=_MODES,
     corner=st.booleans(),
     chunks=st.floats(0.0, 3.0),
     eps1=st.one_of(st.sampled_from([0.1, 0.5]), st.floats(0.02, 0.98)),
     frac=st.floats(0.05, 0.95),
+    line_per_chunk=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_two_ends_constants_match_reference(k, chart, mode, corner, chunks, eps1, frac, seed):
-    # small eps1 makes W = delta^eps1 longer than most lines (lam <= W)
+def test_two_ends_constants_match_reference(
+    k, chart, mode, corner, chunks, eps1, frac, line_per_chunk, seed
+):
+    # small eps1 makes W = delta^eps1 longer than most lines (lam <= W); k = 12
+    # and 16 widen the integer window keys; line_per_chunk gives every line a
+    # chunk of its own
     pool, idx = _shading_list(seed, k, chart, mode, corner, lambda sh: sh.cells.n_cells, chunks)
     eps2 = eps1 * frac
     want = np.array([reference_two_ends_constant(sh, eps1, eps2) for sh in pool])
-    assert np.array_equal(two_ends_constants([pool[i] for i in idx], eps1, eps2), want[idx])
+    with pytest.MonkeyPatch.context() as mp:
+        if line_per_chunk:
+            mp.setattr(measures, "_line_chunks", lambda sizes: geometry._line_chunks(sizes, 1))
+        assert np.array_equal(two_ends_constants([pool[i] for i in idx], eps1, eps2), want[idx])
     assert two_ends_constant(pool[idx[0]], eps1, eps2) == want[idx[0]]
 
 
@@ -515,6 +562,38 @@ def test_two_ends_constants_match_reference_on_ties(k, chart, mode, corner, edge
         assume(lam - W == p)
     else:
         W = lam
+    assume(d < W < 1.0)
+    eps1 = _exact_eps(d, W)
+    assume(eps1 is not None and 0.0 < eps1 < 1.0)
+    got = two_ends_constants([sh], eps1, eps1 / 2)[0]
+    assert got == reference_two_ends_constant(sh, eps1, eps1 / 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 12),
+    chart=st.sampled_from(["s", "t"]),
+    mode=st.sampled_from(["few", "random", "wide"]),
+    corner=st.booleans(),
+    ulps=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_ends_constants_match_reference_near_window_ends(k, chart, mode, corner, ulps, seed):
+    # W = delta^eps1 a few ulps from p - start for a cell position p and the
+    # start of another cell's window, so fl(start + W) falls on or next to p:
+    # there the float guess ceil((p - W)/delta) of the least window start
+    # whose end reaches p can be one off in either direction
+    rng = np.random.default_rng(seed)
+    sc = Scale(k)
+    d = sc.delta
+    sh = _line_shading(rng, sc, chart, mode, corner)
+    pos = sh.arc_positions()
+    i = int(rng.integers(pos.size))
+    p = float(pos[i])
+    start = max(math.floor(float(pos[rng.integers(i + 1)]) / d) * d, 0.0)
+    W = p - start
+    for _ in range(abs(ulps)):
+        W = math.nextafter(W, math.copysign(math.inf, ulps))
     assume(d < W < 1.0)
     eps1 = _exact_eps(d, W)
     assume(eps1 is not None and 0.0 < eps1 < 1.0)
@@ -753,6 +832,47 @@ def test_gamma_matches_reference_on_case2_family():
     assert len(F) == 2339
     for _, sh in F.entries:
         assert gamma(sh, 0.5) == reference_gamma(sh, 0.5)
+
+
+def test_gamma_row_factors_are_the_python_float_powers():
+    # bit for bit the factor the strict-> loop computed, t = 0 and t = 1 included
+    for k in (2, 5, 12, 32):
+        d = 2.0**-k
+        for t in (0.0, 1e-9, 0.25, 0.5, 1 / 3, 0.9999, 1.0):
+            got = measures._row_factors(k, t)
+            assert not got.flags.writeable
+            assert got.tolist() == [(d / 2.0 ** (i - k)) ** t for i in range(k + 1)]
+    assert measures._row_factors.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("end_slack", [False, True])
+def test_gamma_ties_keep_the_finest_row(end_slack):
+    # At t = 0 every row's value is its count.  A single cell gives count 1 on
+    # every row, and a run of cells the full count on every coarse enough
+    # row: the finest of the tied rows is the witness.
+    sc = Scale(6)
+    d = sc.delta
+    length = Line.length_in_square
+    for columns, finest in ((np.array([20]), d), (np.arange(20, 23), 2 * d)):
+        sh = _horizontal_shading(6, columns)
+        with pytest.MonkeyPatch.context() as mp:
+            if end_slack:
+                mp.setattr(Line, "length_in_square", lambda ln: (length(ln) // d + 1) * d - 1e-13)
+            rep = gamma(sh, 0.0)
+            assert (rep.value, rep.witness_r) == (float(columns.size), finest)
+            assert rep == reference_gamma(sh, 0.0)
+
+
+def test_gamma_without_a_covered_grid_point_is_minus_one(monkeypatch):
+    # cells more than r = 1 past both ends of the line cover no grid point on
+    # any row: the value stays -1 with the finest scale and arc 0 as witness
+    sh = _horizontal_shading(4, np.arange(2))
+    arc = np.array([-1.5, 2.5])
+    monkeypatch.setattr(Shading, "arc_and_offset", lambda self: (arc, np.zeros(2)))
+    for t in (0.0, 0.5, 1.0):
+        rep = gamma(sh, t)
+        assert (rep.value, rep.witness_r, rep.witness_arc) == (-1.0, 2.0**-4, 0.0)
+        assert rep == reference_gamma(sh, t)
 
 
 def test_gamma_rejects_bad_exponent():
