@@ -30,7 +30,7 @@ from .geometry import (
     tube_cells,
     union_shadings,
 )
-from .measures import TripledCaps, _densities, _keep_capped, katz_tao_constant, frostman_constant
+from .measures import TripledCaps, _keep_capped, densities, katz_tao_constant, frostman_constant
 
 __all__ = [
     "ConstructionError",
@@ -251,19 +251,6 @@ def rescale_case1(F: LineFamily, delta: float) -> LineFamily:
     if not entries:
         raise ConstructionError("rescaling emptied the family")
     return LineFamily(new_scale, tuple(entries))
-
-
-def inverse_rescale_case1(F: LineFamily, r: float) -> LineFamily:
-    """Undo the horizontal squeeze back to scale r (for roundtrip checks)."""
-    scale = _scale_of(r, "source scale")
-    q = F.scale.n // scale.n
-    entries = []
-    for line, sh in F.entries:
-        new_line = Line(scale, CHART_STEEP, line.a_q, line.b_q)
-        i, j = sh.cells.ij()
-        cells = CellSet.from_ij(scale, i, j // q)
-        entries.append((new_line, Shading(new_line, cells)))
-    return LineFamily(scale, tuple(entries))
 
 
 def bundle_offsets(q: int, t: float, seed: int = 12_021) -> tuple[np.ndarray, np.ndarray]:
@@ -506,7 +493,7 @@ def measure_remark_bullets(F: LineFamily, t: float, s: float) -> dict:
     r = F.scale.delta
     kt = katz_tao_constant(F.dual_points(), t, delta=r)
     masses = [sh.mass for _, sh in F.entries]
-    lam = float(_densities(F._frames, F.scale).min())
+    lam = float(densities(F).min())
     fr = max(frostman_constant(sh.cells, s).constant for _, sh in F.entries)
     e_mass = union_shadings(F).mass
     predicted = math.sqrt(lam) * r ** ((t - 1.0) / 2.0) * sum(masses)

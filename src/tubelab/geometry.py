@@ -172,9 +172,12 @@ def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:
     return (foot - u0) * nrm, (a * u - v + b) / nrm
 
 
-def _line_chunks(sizes: np.ndarray, limit: int = _CHUNK_CELLS):
+def _line_chunks(sizes: np.ndarray, limit: int | None = None):
     """[lo, hi) ranges of consecutive items (lines, or the keys of a bundle)
-    whose sizes sum to at most limit; a larger item gets a range of its own."""
+    whose sizes sum to at most limit (by default _CHUNK_CELLS, read at the
+    call); a larger item gets a range of its own."""
+    if limit is None:
+        limit = _CHUNK_CELLS
     ends = np.cumsum(sizes)
     lo = 0
     while lo < ends.size:
@@ -226,17 +229,15 @@ def _project(fr: _FrameTable, codes: np.ndarray, d: float) -> tuple[np.ndarray, 
 
 
 @contextmanager
-def _lend_projections(shadings: Sequence["Shading"], fr: _FrameTable):
+def _lend_projections(shadings: Sequence["Shading"], arc: np.ndarray, off: np.ndarray, sizes):
     """For the duration of the block, Shading.arc_and_offset of every
-    shading returns its read-only run of one _project pass over all of them
-    (the same arithmetic as projecting it alone); fr is their frame table.
-    The runs are taken back on exit, also when the block raises, so no
-    shading keeps a projection.  The shadings share one scale."""
-    codes = np.concatenate([sh.cells.codes for sh in shadings])
-    arc, off = _project(fr, codes, shadings[0].cells.scale.delta)
+    shading returns its read-only run of arc and off, which hold runs of
+    sizes[l] cells for the shadings in order (a chunk of
+    LineFamily._projected_chunks).  The runs are taken back on exit, also
+    when the block raises, so no shading keeps a projection."""
     arc.flags.writeable = False
     off.flags.writeable = False
-    ends = np.cumsum(fr.sizes).tolist()
+    ends = np.cumsum(sizes).tolist()
     try:
         for sh, lo, hi in zip(shadings, [0] + ends, ends):
             object.__setattr__(sh, "_proj", (arc[lo:hi], off[lo:hi]))
@@ -458,6 +459,17 @@ class LineFamily:
         first use (the dataclass fields, and so eq and hash, ignore it)."""
         return _FrameTable.of((ln, sh.cells.codes.size) for ln, sh in self.entries)
 
+    def _projected_chunks(self):
+        """(lo, hi, arc, off) for each _line_chunks range [lo, hi) of the
+        lines: arc and off are Line.project of the centers of the range's
+        shading cells, one run per line in order, from one _project pass
+        over their concatenated codes."""
+        fr = self._frames
+        d = self.scale.delta
+        for lo, hi in _line_chunks(fr.sizes):
+            codes = np.concatenate([sh.cells.codes for _, sh in self.entries[lo:hi]])
+            yield lo, hi, *_project(fr.rows(lo, hi), codes, d)
+
     @property
     def lines(self) -> list[Line]:
         return [e[0] for e in self.entries]
@@ -493,14 +505,14 @@ class LineFamily:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LineFamily":
-        try:  # a non-numeric string where an integer belongs
+        try:  # a non-numeric string where an integer belongs, or a cell that is no pair
             k = int(obj["k"])
             recs = [
                 (
                     rec["chart"],
                     int(rec["a_q"]),
                     int(rec["b_q"]),
-                    [(int(c[0]), int(c[1])) for c in rec["cells"]],
+                    [_cell_pair(c) for c in rec["cells"]],
                 )
                 for rec in obj["lines"]
             ]
@@ -512,6 +524,13 @@ class LineFamily:
             line = Line(scale, chart, a_q, b_q)
             entries.append((line, Shading(line, CellSet.from_cells(scale, cells))))
         return LineFamily(scale, tuple(entries))
+
+
+def _cell_pair(c) -> tuple[int, int]:
+    """A family.json cell: an [i, j] pair of integers."""
+    if not isinstance(c, (list, tuple)) or len(c) != 2:
+        raise ValueError(f"cell {c!r} is not an [i, j] pair")
+    return int(c[0]), int(c[1])
 
 
 # -- duality ----------------------------------------------------------------

@@ -36,11 +36,11 @@ from .geometry import GeometryError, LineFamily, union_shadings
 from .grid import GridError
 from .measures import (
     MeasureError,
-    _densities,
-    _two_ends,
+    densities,
     frostman_constant,
     gamma_sup,
     katz_tao_constant,
+    two_ends_constants,
 )
 from .structure import StructureError, multiscale_decompose, verify_decomposition
 
@@ -141,13 +141,12 @@ def _family_measurements(F: LineFamily, t: float, eps1: float, eps2: float):
     delta = F.scale.delta
     t_star = min(t, 2.0 - t)
     lhs = union_shadings(F).mass
-    fr = F._frames  # the per-line table that density, gamma_sup and two-ends share
     # every mass is a whole number of delta^2, so this is the exact sum
-    sum_shading = int(fr.sizes.sum()) * delta * delta
-    lam = float(_densities(fr, F.scale).min())
+    sum_shading = int(F._frames.sizes.sum()) * delta * delta
+    lam = float(densities(F).min())
     gam = gamma_sup(F, t_star)
     kt = katz_tao_constant(F.dual_points(), t, delta=delta)
-    te = float(_two_ends(fr, F.shadings, delta, eps1, eps2).max())
+    te = float(two_ends_constants(F, eps1, eps2).max())
     return delta, t_star, lhs, sum_shading, lam, gam, kt, te
 
 

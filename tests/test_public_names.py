@@ -52,3 +52,16 @@ def test_no_module_imports_scipy():
             if "scipy" in roots:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"scipy imported at {offenders}"
+
+
+def test_lab_imports_no_private_name_from_tubelab():
+    # lab drives the measures through their public entry points
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse((SRC / "lab.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").split(".")[0] == "tubelab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"lab imports private names {private}"
