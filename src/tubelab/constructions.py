@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _check_codes, _decode, _encode, _run_ranges, _sorted_unique
+from .grid import CellSet, Scale, _decode, _encode, _run_ranges, _sorted_unique
 from .geometry import (
     CHART_SHALLOW,
     CHART_STEEP,
@@ -23,9 +23,7 @@ from .geometry import (
     LineFamily,
     Shading,
     _FrameTable,
-    _check_in_tube,
     _line_chunks,
-    _param_ranges,
     _row_spans,
     tube_cells,
     union_shadings,
@@ -176,31 +174,28 @@ def build_base(
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
     keep = _keep_capped(_katz_tao_levels(r, t, 8.0), duals.astype(np.float64) * r)
-    lines = [Line(scale, chart, a_q, b_q) for a_q, b_q in duals[keep].tolist()]
+    a_q, b_q = duals[keep].T
+    steep = np.full(a_q.size, chart == CHART_STEEP)
+    fr = _FrameTable.of(scale, np.zeros_like(a_q), steep, a_q, b_q)
     # edge-clipped lines are too short to carry the target mass and would
     # skew the family's density and non-concentration profile
-    lines = [ln for ln in lines if ln.u1 - ln.u0 >= 0.5]
-    codes = _nearest_tube_codes(lines, _cantor_positions_1d(scale.k, s, rng, len(lines)))
-    kept = [(ln, CellSet._from_sorted_codes(scale, c)) for ln, c in zip(lines, codes) if c.size]
-    if not kept:
+    fr = fr.rows(fr.u1 - fr.u0 >= 0.5)
+    codes = _nearest_tube_codes(scale, chart, fr, _cantor_positions_1d(scale.k, s, rng, fr.a.size))
+    kept = np.flatnonzero([c.size for c in codes])
+    if not kept.size:
         raise ConstructionError("base construction produced no usable lines")
-    fr = _FrameTable.of((ln, cells.codes.size) for ln, cells in kept)
-    _check_in_tube(fr, np.concatenate([cells.codes for _, cells in kept]), scale.delta)
-    return LineFamily(scale, tuple((ln, Shading._from_checked(ln, cells)) for ln, cells in kept))
+    runs = [codes[i] for i in kept]
+    return LineFamily._from_arrays(scale, chart, fr.a_q[kept], fr.b_q[kept], runs)
 
 
-def _nearest_tube_codes(lines: Sequence[Line], cols: np.ndarray) -> list[np.ndarray]:
-    """Sorted codes of one tube cell per requested column for each line (the
-    lines share one scale and chart; cols[l] are the columns of lines[l]): the
-    cell whose center is nearest the line, skipping columns outside the
-    square and cells off the width-delta tube.  A line with no column left in
-    the square gets the column under its midpoint."""
-    if not lines:
-        return []
-    scale = lines[0].scale
-    d = scale.delta
-    n = scale.n
-    a, b, u0, u1, nrm = np.array([(ln.a, ln.b, ln.u0, ln.u1, ln.nrm) for ln in lines]).T[:, :, None]
+def _nearest_tube_codes(scale: Scale, chart: str, fr: _FrameTable, cols: np.ndarray) -> list:
+    """Sorted codes of one tube cell per requested column for each line of
+    the frame table (lines of this scale and chart; cols[l] are the columns
+    of line l): the cell whose center is nearest the line, skipping columns
+    outside the square and cells off the width-delta tube.  A line with no
+    column left in the square gets the column under its midpoint."""
+    d, n = scale.delta, scale.n
+    a, b, u0, u1, nrm = (v[:, None] for v in (fr.a, fr.b, fr.u0, fr.u1, fr.nrm))
     cols = cols.copy()
     x = (cols + 0.5) * d
     sel = (x >= u0 - d / 2) & (x <= u1 + d / 2)
@@ -211,7 +206,7 @@ def _nearest_tube_codes(lines: Sequence[Line], cols: np.ndarray) -> list[np.ndar
     c = a * ((cols + 0.5) * d) + b
     rows = np.clip(np.round(c / d - 0.5).astype(np.int64), 0, n - 1)
     sel &= np.abs(c - (rows + 0.5) * d) <= d * nrm + 1e-12
-    codes = _encode(cols, rows) if lines[0].chart == CHART_SHALLOW else _encode(rows, cols)
+    codes = _encode(cols, rows) if chart == CHART_SHALLOW else _encode(rows, cols)
     # one cell per column, so a line's codes are distinct; the unused slots
     # sort past them
     codes[~sel] = np.iinfo(np.uint64).max
@@ -299,13 +294,12 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     parent, ia, ib = np.nonzero(a_ok[:, :, None] & b_ok[:, None, :])
     ka, kb = a_new[parent, ia], b_new[parent, ib]
     claimed = np.sort(np.unique((ka + n) * (3 * n + 1) + (kb + n), return_index=True)[1])
-    parent, ia, ka, kb = parent[claimed], ia[claimed], ka[claimed], kb[claimed]
+    parent, ka, kb = parent[claimed], ka[claimed], kb[claimed]
     off_b = db[ib[claimed]]
-    slopes, inverse = np.unique(a_new, return_inverse=True)
-    nrm = np.array([math.hypot(1.0, a * delta) for a in slopes.tolist()])
-    nrm = nrm[inverse.reshape(a_new.shape)][parent, ia]
-    W = delta * nrm
-    aa, bb = ka * delta, B[parent] * delta
+    # Line's frame of every candidate, with its cell count filled in below
+    counts = np.zeros(ka.size, dtype=np.int64)
+    cand = _FrameTable.of(new_scale, counts, np.zeros(ka.size, dtype=bool), ka, kb)
+    aa, bb, W = cand.a, B[parent] * delta, delta * cand.nrm
     # The child columns of all parents laid end to end, q per parent column in
     # column order, and the parent cells as sorted (parent, column, row) keys;
     # col_keys holds the key of each child column's parent cell in row 0.
@@ -324,7 +318,6 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     # (key x child column) entries in chunks of consecutive keys: each chunk's
     # child codes in key order, which stay the storage of its shadings
     chunks: list[tuple[int, int, np.ndarray]] = []
-    counts = np.zeros(ka.size, dtype=np.int64)
     for k0, k1 in _line_chunks(n_cols[parent], _BUNDLE_CHUNK):
         per_key = n_cols[parent[k0:k1]]
         col = _run_ranges(col_starts[parent[k0:k1]], per_key)
@@ -350,35 +343,23 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
         # column order, so this stable sort puts each child's codes in order
         order = np.argsort(key * n + rows, kind="stable")
         key, codes = key[order], _encode(cols[order], rows[order])
-        # CellSet's checks for all children of the chunk at once
-        _check_codes(codes, n, key[1:] == key[:-1])
         counts[k0:k1] = np.bincount(key, minlength=k1 - k0)
         chunks.append((k0, k1, codes))
-    # Line's frame of every child; a child whose line misses the unit square
-    # is no candidate, and candidates under the floor are dropped
-    b = kb * delta
-    u0, u1 = _param_ranges(aa, b)
-    live = (counts > 0) & (u0 <= u1)
+    # a child whose line misses the unit square is no candidate, and
+    # candidates under the floor are dropped; the candidates' frames are
+    # freed first, as they would raise the build's peak RSS
+    live = (counts > 0) & (cand.u0 <= cand.u1)
+    del cand, aa, W
     if not live.any():
         raise ConstructionError("bundling produced no children")
     kept = live & (counts >= max(1, int(counts[live].max()) // 8))
     starts = np.cumsum(counts) - counts
-    entries = []
+    runs = []
     for k0, k1, codes in chunks:
         keys = k0 + np.flatnonzero(kept[k0:k1])
-        fr = _FrameTable(
-            counts[keys], np.zeros(keys.size, dtype=bool), ka[keys], kb[keys],
-            aa[keys], b[keys], u0[keys], u1[keys], nrm[keys],
-        )  # fmt: skip
-        # Shading's tube check for the kept children of the chunk at once
-        _check_in_tube(fr, codes[np.repeat(kept[k0:k1], counts[k0:k1])], delta)
         lo = starts[keys] - starts[k0]
-        cols = (fr.a_q, fr.b_q, fr.a, fr.b, fr.nrm, fr.u0, fr.u1, lo, lo + fr.sizes)
-        for a_q, b_q, a_, b_, nrm_, u0_, u1_, c0, c1 in zip(*(v.tolist() for v in cols)):
-            child = Line._from_frame(new_scale, CHART_SHALLOW, a_q, b_q, a_, b_, nrm_, u0_, u1_)
-            cells = CellSet._from_sorted_codes(new_scale, codes[c0:c1])
-            entries.append((child, Shading._from_checked(child, cells)))
-    return LineFamily(new_scale, tuple(entries))
+        runs += [codes[c0:c1] for c0, c1 in zip(lo.tolist(), (lo + counts[keys]).tolist())]
+    return LineFamily._from_arrays(new_scale, CHART_SHALLOW, ka[kept], kb[kept], runs)
 
 
 def random_config(

@@ -14,11 +14,11 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import CellSet, Scale, _decode, _run_ranges, _sorted_counts, union_codes
+from .grid import CellSet, Scale, _check_codes, _decode, _run_ranges, _sorted_counts, union_codes
 
 __all__ = [
     "GeometryError",
@@ -77,8 +77,8 @@ class Line:
             raise GeometryError(f"slope {self.a_q}*delta outside [-1, 1]")
         if not (-n <= self.b_q <= 2 * n):
             raise GeometryError(f"intercept {self.b_q}*delta outside [-1, 2]")
-        # The frame, computed once per line: a and b as floats, nrm =
-        # hypot(1, a) and the parameter interval [u0, u1] inside the square.
+        # The frame, computed once per line: a and b as floats, the parameter
+        # interval [u0, u1] inside the square and nrm = hypot(1, a).
         d = self.scale.delta
         a, b = self.a_q * d, self.b_q * d
         lo, hi = 0.0, 1.0
@@ -93,9 +93,9 @@ class Line:
         set_ = object.__setattr__  # frozen: set past the dataclass __setattr__
         set_(self, "a", a)
         set_(self, "b", b)
-        set_(self, "nrm", math.hypot(1.0, a))
         set_(self, "u0", lo)
         set_(self, "u1", hi)
+        set_(self, "nrm", math.hypot(1.0, a))
 
     def param_range(self) -> tuple[float, float]:
         """Parameter interval (abscissa of the chart) inside the unit square."""
@@ -138,33 +138,6 @@ class Line:
         aq = max(-scale.n, min(scale.n, aq))
         return Line(scale, self.chart, aq, bq)
 
-    @staticmethod
-    def _from_frame(scale, chart, a_q, b_q, a, b, nrm, u0, u1) -> "Line":
-        # Fast path: the caller has checked the key as __post_init__ does and
-        # computed the frame with the same operations (see _param_ranges).
-        obj = object.__new__(Line)
-        vars(obj).update(
-            scale=scale, chart=chart, a_q=a_q, b_q=b_q, a=a, b=b, nrm=nrm, u0=u0, u1=u1
-        )
-        return obj
-
-
-def _param_ranges(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Line's [u0, u1] for arrays of a and b: the same IEEE operations, and
-    Python's max(0.0, v) and min(1.0, v), which keep the constant on ties
-    (np.maximum(0.0, -0.0) is -0.0).  u1 < u0 where the line misses the
-    square."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at0, at1 = (0.0 - b) / a, (1.0 - b) / a
-    enter, leave = np.where(a > 0, at0, at1), np.where(a > 0, at1, at0)
-    lo, hi = np.where(enter > 0.0, enter, 0.0), np.where(leave < 1.0, leave, 1.0)
-    inside = (0.0 <= b) & (b <= 1.0)
-    flat = a == 0
-    u0 = np.where(flat, np.where(inside, 0.0, 1.0), lo)
-    u1 = np.where(flat, np.where(inside, 1.0, 0.0), hi)
-    return u0, u1
-
-
 def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:
     """Arclength from the square entry u0 and signed offset of the chart
     points (u, v) on v = a*u + b, nrm = hypot(1, a); arguments broadcast."""
@@ -188,9 +161,9 @@ def _line_chunks(sizes: np.ndarray, limit: int | None = None):
 
 
 class _FrameTable(NamedTuple):
-    """Per-line arrays of a sequence of lines with runs of cells: each line's
-    cell count, steep flag, a_q and b_q, and the frame a, b, u0, u1 and nrm
-    copied from its Line."""
+    """Per-line arrays of a sequence of lines on one scale with runs of cells:
+    each line's cell count, steep flag, a_q and b_q, and Line's frame a, b,
+    u0, u1 and nrm."""
 
     sizes: np.ndarray
     steep: np.ndarray
@@ -203,19 +176,27 @@ class _FrameTable(NamedTuple):
     nrm: np.ndarray
 
     @staticmethod
-    def of(pairs: Iterable[tuple["Line", int]]) -> "_FrameTable":
-        """The table of (line, cell count) pairs, in one pass over them."""
-        rows = (
-            (size, ln.chart == CHART_STEEP, ln.a_q, ln.b_q, ln.a, ln.b, ln.u0, ln.u1, ln.nrm)
-            for ln, size in pairs
-        )
-        # every integer here is below 2^53, so the float table holds it exactly
-        table = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64).reshape(-1, 9)
-        sizes, steep, a_q, b_q = table[:, :4].T.astype(np.int64)
-        return _FrameTable(sizes, steep != 0, a_q, b_q, *table[:, 4:].T.copy())
+    def of(scale: Scale, sizes, steep, a_q: np.ndarray, b_q: np.ndarray) -> "_FrameTable":
+        """The table of the lines with int64 keys a_q and b_q on this scale:
+        Line's frame by its IEEE operations (Python's max(0.0, v) keeps 0.0 on
+        a tie with -0.0, np.maximum does not) and one math.hypot per slope
+        (np.hypot may round otherwise).  u1 < u0 where a line misses the square."""
+        d = scale.delta
+        a, b = a_q * d, b_q * d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at0, at1 = (0.0 - b) / a, (1.0 - b) / a
+        enter, leave = np.where(a > 0, at0, at1), np.where(a > 0, at1, at0)
+        lo, hi = np.where(enter > 0.0, enter, 0.0), np.where(leave < 1.0, leave, 1.0)
+        inside = (0.0 <= b) & (b <= 1.0)
+        flat = a == 0
+        u0 = np.where(flat, np.where(inside, 0.0, 1.0), lo)
+        u1 = np.where(flat, np.where(inside, 1.0, 0.0), hi)
+        slopes, inverse = np.unique(a_q, return_inverse=True)
+        nrm = np.array([math.hypot(1.0, s * d) for s in slopes.tolist()], dtype=np.float64)
+        return _FrameTable(sizes, steep, a_q, b_q, a, b, u0, u1, nrm[inverse])
 
-    def rows(self, lo: int, hi: int) -> "_FrameTable":
-        return _FrameTable(*(col[lo:hi] for col in self))
+    def rows(self, sel) -> "_FrameTable":
+        return _FrameTable(*(col[sel] for col in self))
 
 
 def _project(fr: _FrameTable, codes: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -381,6 +362,8 @@ class Shading:
     _proj = None
 
     def __post_init__(self) -> None:
+        if self.line.scale != self.cells.scale:
+            raise GeometryError("shading line and cells on different scales")
         if self.cells.is_empty():
             raise GeometryError("shading must be nonempty")
         _, off = self.arc_and_offset()
@@ -389,8 +372,8 @@ class Shading:
 
     @staticmethod
     def _from_checked(line: Line, cells: CellSet) -> "Shading":
-        # Fast path: cells is nonempty, and the caller has run _check_in_tube on
-        # (line, cells) or took cells from a checked shading on the same line.
+        # Fast path: cells is nonempty, on the line's scale and in its tube
+        # (run through _check_in_tube, or taken from a checked shading's cells).
         obj = object.__new__(Shading)
         object.__setattr__(obj, "line", line)
         object.__setattr__(obj, "cells", cells)
@@ -453,11 +436,49 @@ class LineFamily:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @staticmethod
+    def _from_arrays(scale: Scale, chart: str, a_q, b_q, codes: Sequence) -> "LineFamily":
+        """Lines on one chart with int64 keys a_q and b_q, line l shaded by the
+        uint64 cells codes[l]; Line's, CellSet's and Shading's checks run on
+        arrays per _line_chunks range.  The family keeps its frame table."""
+        scale.require_base()
+        if chart not in (CHART_SHALLOW, CHART_STEEP):
+            raise GeometryError(f"unknown chart {chart!r}")
+        n, sizes = scale.n, np.array([c.size for c in codes], dtype=np.int64)
+        fr = _FrameTable.of(scale, sizes, np.full(sizes.size, chart == CHART_STEEP), a_q, b_q)
+        if np.any((np.abs(a_q) > n) | (b_q < -n) | (b_q > 2 * n) | (fr.u1 < fr.u0)):
+            raise GeometryError("line key outside the chart's range or off the unit square")
+        if np.any(sizes == 0):
+            raise GeometryError("shading must be nonempty")
+        set_ = object.__setattr__  # frozen: set past the dataclass __setattr__
+        names = ("scale", "chart", *_FrameTable._fields[2:])  # Line's attributes, in its order
+        entries = []
+        for lo, hi in _line_chunks(sizes):
+            part, run = fr.rows(slice(lo, hi)), codes[lo:hi]
+            cat, owner = np.concatenate(run), np.repeat(np.arange(hi - lo), part.sizes)
+            _check_codes(cat, n, owner[1:] == owner[:-1])
+            _check_in_tube(part, cat, scale.delta)
+            for frame, c in zip(zip(*(v.tolist() for v in part[2:])), run):
+                line = object.__new__(Line)
+                for name, v in zip(names, (scale, chart, *frame)):
+                    set_(line, name, v)
+                cells = CellSet._from_sorted_codes(scale, c)
+                entries.append((line, Shading._from_checked(line, cells)))
+        F = LineFamily(scale, tuple(entries))
+        set_(F, "_frames", fr)  # the cached_property's slot
+        return F
+
     @functools.cached_property
     def _frames(self) -> _FrameTable:
         """The frame table of the lines and their shading sizes, built on
         first use (the dataclass fields, and so eq and hash, ignore it)."""
-        return _FrameTable.of((ln, sh.cells.codes.size) for ln, sh in self.entries)
+        keys = (
+            (sh.cells.codes.size, ln.chart == CHART_STEEP, ln.a_q, ln.b_q)
+            for ln, sh in self.entries
+        )
+        table = np.fromiter(itertools.chain.from_iterable(keys), dtype=np.int64).reshape(-1, 4)
+        sizes, steep, a_q, b_q = table.T.copy()
+        return _FrameTable.of(self.scale, sizes, steep != 0, a_q, b_q)
 
     def _projected_chunks(self):
         """(lo, hi, arc, off) for each _line_chunks range [lo, hi) of the
@@ -468,7 +489,7 @@ class LineFamily:
         d = self.scale.delta
         for lo, hi in _line_chunks(fr.sizes):
             codes = np.concatenate([sh.cells.codes for _, sh in self.entries[lo:hi]])
-            yield lo, hi, *_project(fr.rows(lo, hi), codes, d)
+            yield lo, hi, *_project(fr.rows(slice(lo, hi)), codes, d)
 
     @property
     def lines(self) -> list[Line]:
@@ -505,13 +526,13 @@ class LineFamily:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "LineFamily":
-        try:  # a non-numeric string where an integer belongs, or a cell that is no pair
-            k = int(obj["k"])
+        try:  # a value that is no JSON integer where one belongs, or a cell that is no pair
+            k = _json_int(obj["k"])
             recs = [
                 (
                     rec["chart"],
-                    int(rec["a_q"]),
-                    int(rec["b_q"]),
+                    _json_int(rec["a_q"]),
+                    _json_int(rec["b_q"]),
                     [_cell_pair(c) for c in rec["cells"]],
                 )
                 for rec in obj["lines"]
@@ -530,7 +551,14 @@ def _cell_pair(c) -> tuple[int, int]:
     """A family.json cell: an [i, j] pair of integers."""
     if not isinstance(c, (list, tuple)) or len(c) != 2:
         raise ValueError(f"cell {c!r} is not an [i, j] pair")
-    return int(c[0]), int(c[1])
+    return _json_int(c[0]), _json_int(c[1])
+
+
+def _json_int(v) -> int:
+    """A family.json integer: a JSON integer, so neither a float nor a boolean."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
 
 
 # -- duality ----------------------------------------------------------------

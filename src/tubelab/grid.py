@@ -311,11 +311,6 @@ class CellSet:
         i, j = self.ij()
         return {"k": self.scale.k, "cells": [[int(a), int(b)] for a, b in zip(i, j)]}
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "CellSet":
-        scale = Scale(int(obj["k"]))
-        return CellSet.from_cells(scale, [(int(c[0]), int(c[1])) for c in obj["cells"]])
-
 
 # -- covering numbers and coarsening ------------------------------------------
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -38,8 +39,7 @@ from tubelab.constructions import (
     bundle_offsets,
     measure_remark_bullets,
 )
-from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _check_in_tube, _FrameTable
-from tubelab.grid import _check_codes
+from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _FrameTable
 from tubelab.measures import _keep_capped
 
 from conftest import (
@@ -104,11 +104,13 @@ def test_build_base_greedy_matches_reference(k, t, cap, seed):
 
 def _widen_short_frames(mp):
     """Give every line shorter than 1/2 inside the square the parameter range
-    [0, 1].  Its columns past the square then have no cell within the tube,
-    so build_base reaches its empty-shading skip, which no real line does:
-    no line up to k = 5 that passes the length filter has a single column
-    whose nearest cell is dropped."""
+    [0, 1], in Line (the oracle's lines) and in the frame table (build_base's).
+    Its columns past the square then have no cell within the tube, so
+    build_base reaches its empty-shading skip, which no real line does: no
+    line up to k = 5 that passes the length filter has a single column whose
+    nearest cell is dropped."""
     init = Line.__post_init__
+    of = _FrameTable.of
 
     def post_init(self):
         init(self)
@@ -116,7 +118,13 @@ def _widen_short_frames(mp):
             object.__setattr__(self, "u0", 0.0)
             object.__setattr__(self, "u1", 1.0)
 
+    def frames(*args):
+        fr = of(*args)
+        short = fr.u1 - fr.u0 < 0.5
+        return fr._replace(u0=np.where(short, 0.0, fr.u0), u1=np.where(short, 1.0, fr.u1))
+
     mp.setattr(Line, "__post_init__", post_init)
+    mp.setattr(_FrameTable, "of", staticmethod(frames))
 
 
 def _corner_duals(mp):
@@ -450,8 +458,8 @@ def test_case2_bundle_matches_reference_across_chunks(monkeypatch):
 @pytest.mark.parametrize("seed", [405, 406])
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
 def test_case2_children_are_the_lines_their_keys_make(seed, k):
-    # bundle_case2 makes its children through Line's fast path, from frames
-    # computed on arrays; each must be the Line of its key, bit for bit
+    # bundle_case2 makes its children through LineFamily._from_arrays, from
+    # frames computed on arrays; each must be the Line of its key, bit for bit
     spec = ConfigSpec(delta=2.0**-k, t=1.5, s=0.05, r=2.0**-4, seed=seed, kind="case2")
     fam = build_config(spec)
     frame = ("a", "b", "nrm", "u0", "u1")
@@ -463,16 +471,48 @@ def test_case2_children_are_the_lines_their_keys_make(seed, k):
         assert type(child.a_q) is int and type(child.b_q) is int
 
 
+GENERATED = {
+    "base-s": lambda: build_base(2.0**-5, 1.0, 1.0, seed=3),
+    "base-t": lambda: build_base(2.0**-5, 1.5, 0.05, seed=405, chart=CHART_STEEP),
+    "case1-base": lambda: build_base(2.0**-4, 0.5, 1.0, seed=3, chart=CHART_STEEP),
+    **{  # k = 5..7 from r = 2^-4, and the seed-405 criterion-05 point at k = 10
+        f"case2-{k}": functools.partial(
+            build_config,
+            ConfigSpec(delta=2.0**-k, t=1.5, s=0.05, r=2.0**-rk, seed=405, kind="case2"),
+        )
+        for rk, k in ((4, 5), (4, 6), (4, 7), (5, 10))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_family_keeps_the_frames_of_its_entries(name):
+    # the table _from_arrays keeps is the one the entries' keys make, bit for
+    # bit, and every line is the Line of its key
+    fam = GENERATED[name]()
+    kept = vars(fam)["_frames"]
+    rebuilt = LineFamily(fam.scale, fam.entries)._frames
+    assert kept is not rebuilt
+    for f in _FrameTable._fields:
+        assert getattr(kept, f).dtype == getattr(rebuilt, f).dtype, f
+        assert getattr(kept, f).tobytes() == getattr(rebuilt, f).tobytes(), f
+    frame = ("a", "b", "nrm", "u0", "u1")
+    for line, sh in fam.entries:
+        want = Line(fam.scale, line.chart, line.a_q, line.b_q)
+        assert sh.line is line and vars(line) == vars(want)
+        assert [getattr(line, f).hex() for f in frame] == [getattr(want, f).hex() for f in frame]
+
+
 def test_batched_tube_check_raises_like_shading():
     # the seed-405 case-2 point; the bad child is the last
     fam = bundle_case2(build_base(2.0**-4, 1.5, 0.05, seed=405), 2.0**-7, 1.5)
     lines = [ln for ln, _ in fam.entries]
     cells = [sh.cells for _, sh in fam.entries]
     sc, n = fam.scale, fam.scale.n
+    key = np.array([(ln.a_q, ln.b_q) for ln in lines]).T
 
     def check(cellsets):
-        fr = _FrameTable.of((ln, c.n_cells) for ln, c in zip(lines, cellsets))
-        _check_in_tube(fr, np.concatenate([c.codes for c in cellsets]), sc.delta)
+        LineFamily._from_arrays(sc, CHART_SHALLOW, *key, [c.codes for c in cellsets])
 
     check(cells)
     i, j = cells[-1].ij()
@@ -488,20 +528,25 @@ def test_batched_tube_check_raises_like_shading():
 
 
 def test_batched_code_check_raises_like_cellset():
+    # y = 9/16 and y = 1/16: the first child's codes all sort past the
+    # second's, and no order is asked between two children
     sc = Scale(4)
-    first = CellSet.from_ij(sc, [1, 2, 3], [0, 0, 1]).codes
-    second = CellSet.from_ij(sc, [0, 5], [0, 2]).codes
-    runs = np.array([True, True, False, True])  # no order between the two children
-    _check_codes(np.concatenate([first, second]), sc.n, runs)
-    for child in (second[::-1], np.array([second[0], second[0]])):  # unsorted, duplicated
+    key = np.array([0, 0]), np.array([9, 1])
+    first = tube_cells(Line(sc, CHART_SHALLOW, 0, 9), sc.delta).codes[:3]
+    second = tube_cells(Line(sc, CHART_SHALLOW, 0, 1), sc.delta).codes[[0, 20]]
+
+    def check(child):
+        LineFamily._from_arrays(sc, CHART_SHALLOW, *key, [first, child])
+
+    check(second)
+    for child in (second[::-1], second[[0, 0]]):  # unsorted, duplicated
         with pytest.raises(GridError) as single:
             CellSet(sc, child)
         with pytest.raises(GridError) as batched:
-            _check_codes(np.concatenate([first, child]), sc.n, runs)
+            check(child)
         assert str(batched.value) == str(single.value) == "cell codes not sorted or duplicated"
-    outside = np.concatenate([first, second + np.uint64(sc.n)])  # column index past n - 1
     with pytest.raises(GridError, match="out of bounds"):
-        _check_codes(outside, sc.n, runs)
+        check(second + np.uint64(sc.n))  # column index past n - 1
 
 
 def test_case2_validates_parameters():

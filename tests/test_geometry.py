@@ -28,10 +28,8 @@ from tubelab.geometry import (
     _CHUNK_CELLS,
     CHART_SHALLOW,
     CHART_STEEP,
-    _check_in_tube,
     _FrameTable,
     _line_chunks,
-    _param_ranges,
     segment_count,
     tube_cell_count,
 )
@@ -235,7 +233,8 @@ def test_tube_check_on_the_slack_boundary(k):
                     bound = 2 * sc.delta * math.hypot(1.0, line.a)
                     assert bound * (1 - 1e-15) <= off <= bound
                     Shading(line, cells)
-                    _check_in_tube(_FrameTable.of([(line, 1)]), cells.codes, sc.delta)
+                    key = np.array([a_q]), np.array([b_q])
+                    LineFamily._from_arrays(sc, chart, *key, [cells.codes])
                     if 0 <= cj - sgn < n:
                         with pytest.raises(GeometryError):
                             Shading(line, CellSet.from_cells(sc, [flip(ci, cj - sgn)]))
@@ -577,24 +576,87 @@ def test_frame_table_holds_every_lines_attributes():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_param_ranges_and_fast_path_match_line(k):
-    # every key of the chart's range, the lines that miss the square included
+def test_frame_table_and_array_family_match_line(k):
+    # every key of each chart's range, the lines that miss the square included
     sc = Scale(k)
-    n, d = sc.n, sc.delta
+    n = sc.n
     keys = [(a_q, b_q) for a_q in range(-n, n + 1) for b_q in range(-n, 2 * n + 1)]
     a_q, b_q = np.array(keys).T
-    u0, u1 = _param_ranges(a_q * d, b_q * d)
-    missed = 0
-    for (aq, bq), lo, hi in zip(keys, u0.tolist(), u1.tolist()):
-        try:
-            line = Line(sc, "s", aq, bq)
-        except GeometryError:
-            assert hi < lo
-            missed += 1
-            continue
-        assert (lo.hex(), hi.hex()) == (line.u0.hex(), line.u1.hex())
-        fast = Line._from_frame(sc, "s", aq, bq, line.a, line.b, line.nrm, lo, hi)
-        assert fast == line and hash(fast) == hash(line)
-        assert _frame_bits(fast) == _frame_bits(line)
-        assert vars(fast) == vars(line)
-    assert missed > 0
+    for chart in (CHART_SHALLOW, CHART_STEEP):
+        steep = np.full(a_q.size, chart == CHART_STEEP)
+        fr = _FrameTable.of(sc, np.ones(a_q.size, dtype=np.int64), steep, a_q, b_q)
+        lines, missed = [], 0
+        for (aq, bq), *frame in zip(keys, *(getattr(fr, f).tolist() for f in _FRAME)):
+            try:
+                line = Line(sc, chart, aq, bq)
+            except GeometryError:
+                assert frame[4] < frame[3]  # u1 < u0
+                missed += 1
+                continue
+            assert [v.hex() for v in frame] == [float(getattr(line, f)).hex() for f in _FRAME]
+            lines.append(line)
+        assert missed > 0
+        # the lines that meet the square, through the checked array constructor
+        tubes = [tube_cells(ln, sc.delta) for ln in lines]
+        key = np.array([(ln.a_q, ln.b_q) for ln in lines]).T
+        F = LineFamily._from_arrays(sc, chart, *key, [c.codes for c in tubes])
+        assert F == LineFamily(sc, tuple((ln, Shading(ln, c)) for ln, c in zip(lines, tubes)))
+        for (child, sh), line in zip(F.entries, lines):
+            assert child == line and hash(child) == hash(line) and sh.line is child
+            assert _frame_bits(child) == _frame_bits(line)
+            assert vars(child) == vars(line)
+            assert type(child.a_q) is int and type(child.b_q) is int
+
+
+def test_array_family_refuses_what_the_object_path_refuses():
+    # each refusal of LineFamily._from_arrays raises the error class of the
+    # Line, CellSet, Shading or LineFamily check it stands for
+    sc = Scale(4)
+    n = sc.n
+    line = Line(sc, "s", 0, 8)  # y = 1/2
+    tube = tube_cells(line, sc.delta).codes
+    off = tube_cells(Line(sc, "s", 0, 2), sc.delta).codes  # y = 1/8
+
+    def arrays(keys, codes, chart="s"):
+        a_q, b_q = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        return lambda: LineFamily._from_arrays(sc, chart, a_q, b_q, codes)
+
+    def objects(keys, codes, chart="s"):
+        def build():
+            lines = [Line(sc, chart, a_q, b_q) for a_q, b_q in keys]
+            shadings = [Shading(ln, CellSet(sc, c)) for ln, c in zip(lines, codes)]
+            return LineFamily(sc, tuple(zip(lines, shadings)))
+
+        return build
+
+    assert arrays([(0, 8)], [tube])() == objects([(0, 8)], [tube])()
+    cases = {
+        "unknown chart": ([(0, 8)], [tube], "x"),
+        "slope past 1": ([(n + 1, 8)], [tube], "s"),
+        "intercept past 2": ([(0, 2 * n + 1)], [tube], "s"),
+        "misses the square": ([(0, -1)], [tube], "s"),
+        "empty run": ([(0, 8)], [tube[:0]], "s"),
+        "unsorted run": ([(0, 8)], [tube[::-1]], "s"),
+        "duplicated run": ([(0, 8)], [tube[[0, 0]]], "s"),
+        "cell past the grid": ([(0, 8)], [tube + np.uint64(n)], "s"),
+        "cell outside the tube": ([(0, 8)], [off], "s"),
+        "duplicate line": ([(0, 8), (0, 8)], [tube, tube], "s"),
+    }
+    for what, case in cases.items():
+        with pytest.raises(ValueError) as want:
+            objects(*case)()
+        with pytest.raises(ValueError) as got:
+            arrays(*case)()
+        assert type(got.value) is type(want.value), what
+        assert type(want.value) in (GeometryError, GridError), what
+
+
+def test_shading_refuses_a_line_on_another_scale():
+    # y = x + 1/2 on the k = 5 grid, shaded by the k = 6 tube of the same
+    # line: the measures read a_q and b_q in units of the cells' delta, so
+    # its density would read 0.5 where the k = 6 line's reads 1.0
+    fine = Line(Scale(6), "s", 64, 32)
+    cells = tube_cells(fine, fine.scale.delta)
+    Shading(fine, cells)
+    with pytest.raises(GeometryError, match="different scales"):
+        Shading(Line(Scale(5), "s", 32, 16), cells)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -230,17 +229,6 @@ def test_dyadic_count_vs_minimal_ball_cover():
             dyadic = covering_count(E, rho)
             minimal = minimal_ball_cover(cells, sc.delta, rho)
             assert minimal <= dyadic <= 9 * minimal
-
-
-# -- serialization -------------------------------------------------------------------
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(8)
-    E = random_cellset(rng, 5, 0.2)
-    obj = json.loads(json.dumps(E.to_json_obj()))
-    assert obj["k"] == 5
-    assert CellSet.from_json_obj(obj) == E
 
 
 def test_union_codes_chunking():

@@ -220,6 +220,40 @@ def test_cli_measure_rejects_non_integer_family_fields(tmp_path, capsys, field):
     assert "malformed family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 4.9),
+        ("k", True),
+        ("a_q", 0.5),
+        ("a_q", False),
+        ("b_q", 8.7),
+        ("b_q", 8.0),
+        ("cell", [1.9, 8.2]),
+        ("cell", [1, True]),
+    ],
+)
+def test_cli_measure_rejects_family_values_that_are_no_json_integers(
+    tmp_path, capsys, field, value
+):
+    # int() would load k = 4.9 as 4, a_q = 0.5 as 0 and true as 1
+    cfg = _write_cfg(tmp_path, kind="bush", delta=2.0**-6, t=1.0)
+    rec = {"chart": "s", "a_q": 0, "b_q": 8, "cells": [[1, 8]]}
+    obj = {"k": 4, "lines": [rec]}
+    LineFamily.from_json_obj(obj)  # loads as it stands
+    if field == "k":
+        obj["k"] = value
+    elif field == "cell":
+        rec["cells"] = [value]
+    else:
+        rec[field] = value
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["measure", "--config", cfg, "--family", str(bad), "--out", str(tmp_path / "m")]
+    assert run_cli(argv) == 2
+    assert "malformed family" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", [[1], [1, 8, 0]])  # (1, 8) lies in the line's tube
 def test_cli_measure_rejects_family_cells_that_are_no_pairs(tmp_path, capsys, cell):
     cfg = _write_cfg(tmp_path, kind="bush", delta=2.0**-6, t=1.0)

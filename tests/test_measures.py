@@ -663,7 +663,8 @@ def test_tube_counts_per_slope_match_tube_cell_count_at_fine_scales(k):
                 lines.append(Line(sc, "s", a_q, b_q))
             except GeometryError:
                 continue
-    fr = geometry._FrameTable.of((ln, 1) for ln in lines)
+    a_q, b_q = np.array([(ln.a_q, ln.b_q) for ln in lines]).T
+    fr = geometry._FrameTable.of(sc, np.ones(a_q.size), np.zeros(a_q.size, dtype=bool), a_q, b_q)
     want = [tube_cell_count(ln, sc.delta) for ln in lines]
     assert _tube_counts(fr, sc).tolist() == want
 

@@ -65,3 +65,31 @@ def test_lab_imports_no_private_name_from_tubelab():
         if alias.name.startswith("_")
     ]
     assert not private, f"lab imports private names {private}"
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a module names: imported, read, called or as an
+    attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_constructions_builds_families_through_the_array_constructor():
+    # generators hand keys and code arrays to LineFamily._from_arrays, which
+    # alone runs the batched checks and makes the objects unchecked
+    checks = {"_check_codes", "_check_in_tube", "_param_ranges"}
+    fast_paths = {"__new__", "_from_checked", "_from_frame", "_from_sorted_codes"}
+    used = _names(SRC / "constructions.py") & (checks | fast_paths)
+    assert not used, f"constructions names {sorted(used)}"
+
+
+def test_only_geometry_runs_the_batched_tube_check():
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "_check_in_tube" in _names(p)]
+    assert users == ["geometry.py"], users
