@@ -127,7 +127,10 @@ class Line:
         return _arc_and_offset(u, v, self.a, self.b, self.u0, self.nrm)
 
     def requantize(self, scale: Scale) -> "Line":
-        """Nearest line on another scale's quantization grid."""
+        """Nearest line on another scale's quantization grid.  A line that
+        only touches the square can round to a key that misses it; its
+        intercept is then clamped to the nearest one whose line meets the
+        square (b_q + max(0, a_q) >= 0 and b_q + min(0, a_q) <= n)."""
         if scale.k >= self.scale.k:
             shift = scale.k - self.scale.k
             return Line(scale, self.chart, self.a_q << shift, self.b_q << shift)
@@ -136,6 +139,7 @@ class Line:
         aq = (self.a_q + half) >> shift
         bq = (self.b_q + half) >> shift
         aq = max(-scale.n, min(scale.n, aq))
+        bq = max(-max(0, aq), min(scale.n - min(0, aq), bq))
         return Line(scale, self.chart, aq, bq)
 
 def _arc_and_offset(u, v, a, b, u0, nrm) -> tuple[np.ndarray, np.ndarray]:

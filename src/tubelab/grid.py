@@ -143,6 +143,15 @@ def _run_heads(values: np.ndarray) -> np.ndarray:
     return heads
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every run of equal values."""
+    heads = np.flatnonzero(_run_heads(values))
+    lengths = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1:] = values.size - heads[-1:]
+    return heads, lengths
+
+
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """np.unique for code arrays: sort, then drop adjacent duplicates (on
     uint64 codes a sort is far cheaper than np.unique)."""
@@ -153,8 +162,8 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
 def _sorted_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(values, return_counts=True) by one sort and run lengths."""
     out = np.sort(values, axis=None)
-    heads = np.flatnonzero(_run_heads(out))
-    return out[heads], np.diff(np.append(heads, out.size))
+    heads, counts = _runs(out)
+    return out[heads], counts
 
 
 def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ factor, and multiscale_decompose re-validates its own output before returning.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,6 +22,8 @@ from .grid import (
     Scale,
     ScaleLadder,
     _run_heads,
+    _run_ranges,
+    _runs,
     _sorted_unique,
     coarsen,
     covering_count,
@@ -113,39 +116,67 @@ class RefinementTrace:
 # -- uniformization ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # a few entries per ladder, and k <= 32
+def _bit_table(m: int, k: int, lo: int, width: int, inverse: bool) -> np.ndarray:
+    """Where _ladder_keys sends `width` input bits from bit `lo` up: the
+    output bits of every value of those bits, 2k-bit unsigned.  Read-only,
+    since every call shares it."""
+    dtype = np.uint32 if 2 * k <= 32 else np.uint64
+    values = np.arange(1 << width, dtype=dtype)
+    table = np.zeros(1 << width, dtype=dtype)
+    for bit in range(lo, lo + width):
+        if inverse:  # key bit -> compact code bit, j above i
+            level, digit = divmod(bit, 2 * m)
+            coord, digit = divmod(digit, m)
+            dst = coord * k + m * level + digit
+        else:  # code bit (i from 0, j from 32) -> key bit
+            coord, index = divmod(bit, 32)
+            dst = 2 * m * (index // m) + coord * m + index % m
+        table |= ((values >> dtype(bit - lo)) & dtype(1)) << dtype(dst)
+    table.flags.writeable = False
+    return table
+
+
 def _ladder_keys(x: np.ndarray, ladder: ScaleLadder, inverse: bool = False) -> np.ndarray:
-    """Quadtree keys of cell codes (codes of keys when inverse): the m-bit
-    ladder digits from coarse to fine, 2m bits per level with the j digit
-    above the i digit, 2k <= 64 bits in all (cell indices have 32 bits).
-    The level-l ancestor is the prefix key >> 2m(N - l), so in sorted keys
-    the cells of every ancestor form one run."""
-    m = ladder.m
-    digit = np.uint64((1 << m) - 1)
-    out = np.zeros_like(x)
-    for lev in range(ladder.N):
-        for code_bit, key_bit in ((m * lev, 2 * m * lev), (32 + m * lev, 2 * m * lev + m)):
-            src, dst = (key_bit, code_bit) if inverse else (code_bit, key_bit)
-            out |= ((x >> np.uint64(src)) & digit) << np.uint64(dst)
-    return out
+    """Quadtree keys of cell codes: the m-bit ladder digits from coarse to
+    fine, 2m bits per level with the j digit above the i digit, 2k bits in
+    all, uint32 when they fit (cell indices have 32 bits).  The level-l
+    ancestor is the prefix key >> 2m(N - l), so in sorted keys the cells of
+    every ancestor form one run.  With inverse, x holds keys and the result
+    is their sorted codes.
 
-
-def _occupied_children(child: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Occupied-child count of every parent run, from the run heads of a
-    level and of the next coarser one over the same sorted keys."""
-    return np.diff(np.flatnonzero(np.append(parent[child], True)))
+    Bits move by table, 16 input bits at a time (_bit_table).  The inverse
+    sorts the compact codes j * 2^k + i, in code order and half the width
+    of a code while k <= 16, and spreads j to bit 32 after the sort."""
+    k, m = ladder.k, ladder.m
+    if inverse:
+        chunks = [(lo, min(16, 2 * k - lo)) for lo in range(0, 2 * k, 16)]
+    else:
+        chunks = [(c + lo, min(16, k - lo)) for c in (0, 32) for lo in range(0, k, 16)]
+    # little-endian 16-bit words: word w holds bits 16w .. 16w + 15
+    words = x.astype(x.dtype.newbyteorder("<"), copy=False).view("<u2").reshape(-1, x.itemsize // 2)
+    out = None
+    for lo, width in chunks:
+        part = np.take(_bit_table(m, k, lo, width, inverse), words[:, lo // 16])
+        out = part if out is None else np.bitwise_or(out, part, out=out)
+    if not inverse:
+        return out
+    out = np.sort(out).astype(np.uint64)
+    return out + (out >> np.uint64(k)) * np.uint64((1 << 32) - (1 << k))
 
 
 def _keys_uniformity_error(keys: np.ndarray, step: int, levels: int) -> float:
     """Worst max/min ratio of occupied-child counts over the `levels`
-    ancestor levels of sorted keys, each `step` bits above the last (numpy
-    shifts unsigned keys by 64 bits or more to 0, the one root)."""
+    ancestor levels of sorted keys, each `step` bits above the last.  Each
+    level walks the distinct nodes of the one below (numpy shifts unsigned
+    keys by their width or more to 0, the one root, and floors signed ones)."""
     worst = 1.0
-    child = _run_heads(keys)
-    for shift in range(step, step * levels + 1, step):
-        parent = _run_heads(keys >> shift)
-        counts = _occupied_children(child, parent)
+    nodes = keys[_run_heads(keys)]
+    for _ in range(levels):
+        up = nodes >> step
+        heads, counts = _runs(up)
         worst = max(worst, float(counts.max()) / float(counts.min()))
-        child = parent
+        nodes = up[heads]
     return worst
 
 
@@ -160,8 +191,13 @@ def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, Refinem
     i.e. they agree within a factor 2.
 
     The cells are sorted once by their quadtree keys (_ladder_keys), so the
-    parents and children of every level are runs of the sorted keys, and
-    pruning whole parent runs keeps the key order.
+    children of every parent form one run.  Each level works on nodes, not
+    cells: its children are the parents the finer level kept, with the cell
+    count under each, and a parent's cells are the sum over its children.
+    A parent that survives every coarser level keeps all the children it
+    counted, so one walk from the root down collects the surviving cells,
+    and the counts of the surviving parents are the occupied-child counts
+    of the result: its uniformity error needs no second walk.
     """
     if E.is_empty():
         raise StructureError("cannot uniformize an empty set")
@@ -169,25 +205,39 @@ def uniformize(E: CellSet, ladder: ScaleLadder) -> tuple[CellSet, float, Refinem
         raise GridError(f"ladder (k={ladder.k}) incompatible with scale k={E.scale.k}")
     step = 2 * ladder.m
     keys = np.sort(_ladder_keys(E.codes, ladder))
-    child = _run_heads(keys)
+    nodes, cells, total = keys, None, keys.size  # a cell is a node of one cell
     trace = RefinementTrace()
+    levels = []
     for j in range(ladder.N, 0, -1):
-        parent = _run_heads(keys >> step * (ladder.N - j + 1))
-        classes = np.floor(np.log2(_occupied_children(child, parent))).astype(np.int64)
-        cls_of_cell = np.repeat(classes, np.diff(np.append(np.flatnonzero(parent), keys.size)))
-        mass = np.bincount(cls_of_cell, minlength=int(classes.max()) + 1)
+        up = nodes >> step
+        heads, children = _runs(up)
+        under = children if cells is None else np.add.reduceat(cells, heads)
+        # cells under the parents of each child count, then of each dyadic
+        # class [2^b, 2^(b+1)) of counts (exact in float64)
+        by_count = np.bincount(children, weights=under)
+        mass = np.add.reduceat(by_count, 1 << np.arange((by_count.size - 1).bit_length()))
         occupied = np.count_nonzero(mass)  # every parent holds a cell
         best = int(np.argmax(mass))
-        keep = cls_of_cell == best
-        frac = float(np.count_nonzero(keep)) / keys.size
+        kept = int(mass[best])
         trace.add(
             f"level {j}: {occupied} dyadic classes, kept class 2^{best}",
-            frac,
+            kept / total,
             1.0 / (2.0 * occupied),
         )
-        keys, child = keys[keep], parent[keep]  # whole parent runs go
-    out = CellSet._from_sorted_codes(E.scale, np.sort(_ladder_keys(keys, ladder, inverse=True)))
-    return out, _keys_uniformity_error(keys, step, ladder.N), trace
+        keep = np.flatnonzero((children >> best) == 1)
+        levels.append((keep, heads, children))
+        nodes, cells, total = up[heads[keep]], under[keep], kept
+    # From the root down, as indices: the live parents of a level are the
+    # kept ones whose node lives one level up, and their children live.
+    alive = np.zeros(1, dtype=np.int64)  # the root, which level 1 always keeps
+    worst = 1.0
+    for keep, heads, children in reversed(levels):
+        live = keep[alive]
+        counts = children[live]
+        worst = max(worst, float(counts.max()) / float(counts.min()))
+        alive = _run_ranges(heads[live], counts)
+    out = CellSet._from_sorted_codes(E.scale, _ladder_keys(keys[alive], ladder, inverse=True))
+    return out, worst, trace
 
 
 def is_uniform(E: CellSet, ladder: ScaleLadder, C: float) -> bool:
@@ -556,8 +606,8 @@ def rich_point_refine(
     flat = np.concatenate([sh.cells.codes for _, sh in F.entries])
     order = np.argsort(flat, kind="stable")
     ranked = flat[order]
-    heads = np.flatnonzero(_run_heads(ranked))
-    codes, counts = ranked[heads], np.diff(np.append(heads, flat.size))
+    heads, counts = _runs(ranked)
+    codes = ranked[heads]
     classes = np.floor(np.log2(counts)).astype(np.int64)
     weights = np.bincount(classes, weights=counts.astype(np.float64))
     best = int(np.argmax(weights))

@@ -20,6 +20,7 @@ from tubelab import (
     lines_in_tube,
     multiplicity,
     segment_cover,
+    shading_multiscale,
     tube_cells,
     union_shadings,
 )
@@ -33,6 +34,7 @@ from tubelab.geometry import (
     segment_count,
     tube_cell_count,
 )
+from tubelab.structure import verify_shading_multiscale
 
 from conftest import (
     naive_tube_cells,
@@ -115,6 +117,48 @@ def test_line_validation():
         Line(sc, "s", 0, -sc.n)  # y = -1 misses the square
     with pytest.raises(GeometryError):
         Line(sc, "x", 0, 0)
+
+
+def test_requantize_corner_line():
+    # y = 1.125 - x/8 meets the square only at (1, 1); rounded to k = 2 its
+    # key would be y = 1.25, so the intercept is clamped to y = 1
+    line = Line(Scale(4), "s", -2, 18)
+    assert line.u0 == line.u1 == 1.0
+    assert line.requantize(Scale(2)) == Line(Scale(2), "s", 0, 4)
+    cells = CellSet.from_cells(Scale(4), [(i, 15) for i in range(12, 16)])
+    fam = LineFamily(Scale(4), ((line, Shading(line, cells)),))
+    res = shading_multiscale(fam, 0.5, 0.1)
+    assert [(ln.a_q, ln.b_q) for ln, _ in res.family.entries] == [(0, 4)]
+    ok, msg = verify_shading_multiscale(fam, res, 0.5, 0.1)
+    assert ok or msg.startswith("(b)")  # (b) is ROADMAP item 3, not requantize
+
+
+def _meets_square(a_q: int, b_q: int, n: int) -> bool:
+    # v = a u + b over u in [0, 1] spans [b + min(0, a), b + max(0, a)]
+    return b_q + max(0, a_q) >= 0 and b_q + min(0, a_q) <= n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(3, 20), chart=st.sampled_from([CHART_SHALLOW, CHART_STEEP]))
+def test_requantize_returns_a_line_on_every_coarser_scale(data, k, chart):
+    n = 1 << k
+    a_q = data.draw(st.integers(-n, n))
+    lo, hi = -max(0, a_q), n - min(0, a_q)  # the intercepts whose lines meet the square
+    b_q = data.draw(st.one_of(st.sampled_from([lo, hi, lo + 1, hi - 1]), st.integers(lo, hi)))
+    line = Line(Scale(k), chart, a_q, b_q)
+    for kc in range(2, k):
+        scale, shift = Scale(kc), k - kc
+        half = 1 << (shift - 1)
+        aq = max(-scale.n, min(scale.n, (a_q + half) >> shift))
+        bq = (b_q + half) >> shift
+        out = line.requantize(scale)
+        assert isinstance(out, Line) and out.scale == scale and out.chart == chart
+        if _meets_square(aq, bq, scale.n):
+            assert (out.a_q, out.b_q) == (aq, bq)
+        else:
+            assert out.a_q == aq and _meets_square(aq, out.b_q, scale.n)
+            # one step further towards the rounded key misses
+            assert not _meets_square(aq, out.b_q + (1 if bq > out.b_q else -1), scale.n)
 
 
 # -- duality ------------------------------------------------------------------------

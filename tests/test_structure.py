@@ -36,6 +36,7 @@ from tubelab.structure import (
     MultiscalePartition,
     ShadingMultiscaleResult,
     StructureError,
+    _ladder_keys,
     _lower_hull,
     _shading_uniformity_error,
     shading_window_counts,
@@ -130,16 +131,24 @@ def _ladder_set(rng: np.random.Generator, ladder: ScaleLadder, kind: str, level:
     return CellSet.from_ij(scale, i0 + rng.integers(0, side, size), j0 + rng.integers(0, side, size))
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+# m·N = k <= 32 with digits of 1 to 16 bits: one key table chunk per
+# coordinate up to k = 16 and two above
+_LADDERS = st.sampled_from([1, 2, 3, 4, 8, 16]).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, 32 // m))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    m=st.integers(1, 3),
-    N=st.integers(1, 5),
+    ladder=_LADDERS,
     kind=st.sampled_from(["single", "full", "random", "clusters", "one-parent"]),
-    level=st.integers(1, 5),
+    level=st.integers(1, 32),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_uniformize_matches_reference(m, N, kind, level, seed):
+def test_uniformize_matches_reference(ladder, kind, level, seed):
+    m, N = ladder
     ladder = ScaleLadder(m=m, N=N)
+    # every kind is sparse or capped (at most 2^14 cells) at any k
     E = _ladder_set(np.random.default_rng(seed), ladder, kind, min(level, N))
     out, err, trace = uniformize(E, ladder)
     ref_out, ref_err, ref_trace = reference_uniformize(E, ladder)
@@ -149,18 +158,53 @@ def test_uniformize_matches_reference(m, N, kind, level, seed):
     assert uniformity_error(E, ladder) == reference_uniformity_error(E, ladder)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(
-    k=st.integers(1, 12),
+    k=st.integers(1, 30),
     n=st.integers(1, 400),
     spread=st.floats(0.001, 1.5),
+    clusters=st.integers(0, 6),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_shading_uniformity_error_matches_reference(k, n, spread, seed):
-    # sorted arclength positions, a few of them just before the square entry
-    pos = np.sort(np.random.default_rng(seed).uniform(-0.01, spread, n))
+def test_shading_uniformity_error_matches_reference(k, n, spread, clusters, seed):
+    # sorted arclength positions, a few of them just before the square entry,
+    # plus clusters of every width on both sides of 0: the window indices are
+    # int64 and negative ones floor under the right shift, over many coarse
+    # windows per level
+    rng = np.random.default_rng(seed)
+    parts = [rng.uniform(-0.01, spread, n)]
+    for _ in range(clusters):
+        width = 2.0 ** -int(rng.integers(0, k + 1))
+        parts.append(rng.uniform(-1.0, 1.5) + rng.uniform(0.0, width, int(rng.integers(1, 200))))
+    pos = np.sort(np.concatenate(parts))
     d = 2.0**-k
     assert _shading_uniformity_error(pos, d, k) == reference_shading_uniformity_error(pos, d, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ladder=_LADDERS, size=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
+def test_ladder_keys_round_trip(ladder, size, seed):
+    m, N = ladder
+    ladder = ScaleLadder(m=m, N=N)
+    k, M = ladder.k, 1 << m
+    n = 1 << k
+    rng = np.random.default_rng(seed)
+    # random cells plus the four corners, so the top digits of i and j (and
+    # of the key, up to bit 2k - 1) are set
+    i = np.concatenate([rng.integers(0, n, size), [0, n - 1, 0, n - 1]])
+    j = np.concatenate([rng.integers(0, n, size), [0, 0, n - 1, n - 1]])
+    codes = CellSet.from_ij(Scale(k), i, j).codes
+    keys = _ladder_keys(codes, ladder)
+    assert keys.dtype == (np.uint32 if 2 * k <= 32 else np.uint64)
+    for code, key in zip(codes.tolist(), keys.tolist()):
+        ci, cj = code & 0xFFFFFFFF, code >> 32
+        want = 0  # the m-bit digits of i and j, level by level from the finest
+        for lev in range(N):
+            want |= ((ci >> m * lev) % M) << 2 * m * lev
+            want |= ((cj >> m * lev) % M) << 2 * m * lev + m
+        assert key == want
+    back = _ladder_keys(keys, ladder, inverse=True)  # the sorted codes
+    assert back.dtype == np.uint64 and np.array_equal(back, codes)
 
 
 class _Positions:
