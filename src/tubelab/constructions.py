@@ -25,6 +25,7 @@ from .geometry import (
     _FrameTable,
     _line_chunks,
     _row_spans,
+    _tube_radii,
     tube_cells,
     union_shadings,
 )
@@ -193,9 +194,11 @@ def _nearest_tube_codes(scale: Scale, chart: str, fr: _FrameTable, cols: np.ndar
     the frame table (lines of this scale and chart; cols[l] are the columns
     of line l): the cell whose center is nearest the line, skipping columns
     outside the square and cells off the width-delta tube.  A line with no
-    column left in the square gets the column under its midpoint."""
+    column left in the square gets the column under its midpoint.  In the
+    integers of geometry's tube predicate, the nearest row is (C - n)/2n
+    rounded half to even."""
     d, n = scale.delta, scale.n
-    a, b, u0, u1, nrm = (v[:, None] for v in (fr.a, fr.b, fr.u0, fr.u1, fr.nrm))
+    u0, u1 = fr.u0[:, None], fr.u1[:, None]
     cols = cols.copy()
     x = (cols + 0.5) * d
     sel = (x >= u0 - d / 2) & (x <= u1 + d / 2)
@@ -203,9 +206,10 @@ def _nearest_tube_codes(scale: Scale, chart: str, fr: _FrameTable, cols: np.ndar
     mid = (u0[none, 0] + u1[none, 0]) / 2.0
     cols[none, 0] = np.clip((mid / d).astype(np.int64), 0, n - 1)
     sel[none, 0] = True
-    c = a * ((cols + 0.5) * d) + b
-    rows = np.clip(np.round(c / d - 0.5).astype(np.int64), 0, n - 1)
-    sel &= np.abs(c - (rows + 0.5) * d) <= d * nrm + 1e-12
+    C = fr.a_q[:, None] * (2 * cols + 1) + 2 * n * fr.b_q[:, None]
+    half, rem = np.divmod(C - n, 2 * n)
+    rows = np.clip(half + ((rem > n) | ((rem == n) & (half % 2 == 1))), 0, n - 1)
+    sel &= np.abs(n * (2 * rows + 1) - C) <= _tube_radii(fr.a_q, n, n, d)[:, None]
     codes = _encode(cols, rows) if chart == CHART_SHALLOW else _encode(rows, cols)
     # one cell per column, so a line's codes are distinct; the unused slots
     # sort past them
@@ -295,11 +299,10 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     ka, kb = a_new[parent, ia], b_new[parent, ib]
     claimed = np.sort(np.unique((ka + n) * (3 * n + 1) + (kb + n), return_index=True)[1])
     parent, ka, kb = parent[claimed], ka[claimed], kb[claimed]
-    off_b = db[ib[claimed]]
     # Line's frame of every candidate, with its cell count filled in below
     counts = np.zeros(ka.size, dtype=np.int64)
     cand = _FrameTable.of(new_scale, counts, np.zeros(ka.size, dtype=bool), ka, kb)
-    aa, bb, W = cand.a, B[parent] * delta, delta * cand.nrm
+    radii = _tube_radii(ka, n, n, delta)
     # The child columns of all parents laid end to end, q per parent column in
     # column order, and the parent cells as sorted (parent, column, row) keys;
     # col_keys holds the key of each child column's parent cell in row 0.
@@ -314,21 +317,16 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     col_starts = np.cumsum(n_cols) - n_cols
     col_keys = np.repeat(parent_cols * nr, q)
     child_cols = _run_ranges(parent_cols % nr * q, np.full(parent_cols.size, q))
-    child_x = (child_cols + 0.5) * delta
     # (key x child column) entries in chunks of consecutive keys: each chunk's
     # child codes in key order, which stay the storage of its shadings
     chunks: list[tuple[int, int, np.ndarray]] = []
     for k0, k1 in _line_chunks(n_cols[parent], _BUNDLE_CHUNK):
         per_key = n_cols[parent[k0:k1]]
         col = _run_ranges(col_starts[parent[k0:k1]], per_key)
-        # runs of tube rows: the db = 0 tube of each key's slope, moved by db
-        # rows (shifting b by db*delta shifts them by db)
-        lo, lens = _row_spans(
-            *(np.repeat(v[k0:k1], per_key) for v in (aa, bb, W)),
-            child_x[col], delta, n, np.repeat(off_b[k0:k1], per_key),
-        )
-        # W <= sqrt(2) delta, so a column holds at most 3 rows lo..hi of a
-        # child tube, and as q >= 2 they lie in at most two parent rows,
+        keys = (np.repeat(v[k0:k1], per_key) for v in (ka, kb, radii))
+        lo, lens = _row_spans(*keys, child_cols[col], n, n)
+        # R <= isqrt(8 n^2) < 3n, so a column holds at most 3 rows lo..hi of
+        # a child tube, and as q >= 2 they lie in at most two parent rows,
         # lo >> shift and hi >> shift: the rows whose parent cell is in the
         # parent shading form one run, from first to last.
         hi = lo + lens - 1
@@ -349,7 +347,7 @@ def bundle_case2(F: LineFamily, delta: float, t: float) -> LineFamily:
     # candidates under the floor are dropped; the candidates' frames are
     # freed first, as they would raise the build's peak RSS
     live = (counts > 0) & (cand.u0 <= cand.u1)
-    del cand, aa, W
+    del cand, radii
     if not live.any():
         raise ConstructionError("bundling produced no children")
     kept = live & (counts >= max(1, int(counts[live].max()) // 8))

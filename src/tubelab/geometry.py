@@ -46,9 +46,6 @@ CHART_STEEP = "t"
 _CHUNK_CELLS = 1 << 12
 # (slope x column) entries per batch of _tube_counts.
 _SLOPE_CHUNK = 1 << 16
-# _tube_counts counts a (slope, column) per line when a row bound of the
-# slope's b = 0 tube lies within 2^(k - _TIE_BITS) of an integer.
-_TIE_BITS = 48
 
 
 class GeometryError(ValueError):
@@ -233,28 +230,38 @@ def _lend_projections(shadings: Sequence["Shading"], arc: np.ndarray, off: np.nd
                 object.__delattr__(sh, "_proj")
 
 
-def _tube_slack(nrm, d: float):
-    """Largest offset a shading cell of width d may have from a line with
-    this nrm (a float or an array)."""
-    return 2.0 * d * nrm + 1e-12
+def _tube_radii(a_q, m: int, n: int, w: float) -> np.ndarray:
+    """R of the width-w tube of each slope a_q/m (an int or an array), exact
+    for any float w, one isqrt per distinct slope.  The tube predicate: the
+    chart line v = (a_q u + b_q)/m and the cell (u, v) of width 1/n give
+    C = a_q (2u+1) + 2 b_q n and N = m (2v+1) - C, the center's vertical
+    offset times 2nm, so the center lies within w of the line exactly when
+    |N| <= R = isqrt(floor(4 n^2 w^2 (m^2 + a_q^2))).  All of it stays below
+    2^62 for k <= 29 (Scale.require_base)."""
+    p, q = float(w).as_integer_ratio()
+    slopes, inverse = np.unique(a_q, return_inverse=True)
+    radii = [math.isqrt(4 * n * n * p * p * (m * m + a * a) // (q * q)) for a in slopes.tolist()]
+    return np.array(radii, dtype=np.int64)[inverse]
 
 
-def _check_in_tube(fr: _FrameTable, codes: np.ndarray, d: float) -> None:
-    """Shading's tube check for every line of fr and its run of codes (cells
-    of width d) in one pass."""
-    _, off = _project(fr, codes, d)
-    if np.any(np.abs(off) > np.repeat(_tube_slack(fr.nrm, d), fr.sizes)):
+def _check_in_tube(a_q, b_q, steep: bool, codes: np.ndarray, n: int) -> None:
+    """Shading's tube check of the cells `codes` of width 1/n against their
+    lines' keys (scalars, or one per code): a center's offset N/(2n^2 nrm) is
+    at most 2 nrm/n, nrm = hypot(1, a), exactly when |N| <= 4n + floor(4 a_q^2/n)."""
+    i, j = _decode(codes)
+    u, v = (j, i) if steep else (i, j)
+    N = n * (2 * v + 1) - a_q * (2 * u + 1) - 2 * n * b_q
+    if np.any(np.abs(N) > 4 * n + 4 * a_q * a_q // n):
         raise GeometryError("shading cell outside the tube")
 
 
-def _row_spans(a, b, W, x, d: float, n: int, shift=0) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterize v = a*u + b: at each column center x, the rows lo..lo+lens-1
-    (moved by `shift` rows) of the cells whose centers lie within vertical
-    distance W of the line, clipped to the square; lens is 0 where none do.
+def _row_spans(a_q, b_q, R, cols, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows lo..lo+lens-1 of the cells with |N| <= R (see _tube_radii) in
+    the columns cols, clipped to the square; lens is 0 where there are none.
     Arguments broadcast, so one call can cover many lines."""
-    c = a * x + b
-    lo = np.maximum(np.ceil((c - W) / d - 0.5).astype(np.int64) + shift, 0)
-    hi = np.minimum(np.floor((c + W) / d - 0.5).astype(np.int64) + shift, n - 1)
+    C = a_q * (2 * cols + 1) + 2 * n * b_q
+    lo = np.maximum(-((R + m - C) // (2 * m)), 0)
+    hi = np.minimum((C + R - m) // (2 * m), n - 1)
     return lo, np.maximum(hi - lo + 1, 0)
 
 
@@ -267,12 +274,12 @@ def tube_cells(
     """All cells (at cell_scale, default the line's scale) whose center lies
     within distance w of the line, clipped to the unit square."""
     scale = cell_scale if cell_scale is not None else line.scale
-    if not (scale.delta <= w <= 1.0 + 1e-12):
+    max(scale, line.scale).require_base()  # the finer scale bounds the integers
+    if not (scale.delta <= w <= 1.0):
         raise GeometryError(f"tube width {w} outside [delta, 1]")
-    d = scale.delta
-    n = scale.n
+    m, n = line.scale.n, scale.n
     cols = np.arange(n, dtype=np.int64) if columns is None else np.asarray(columns, dtype=np.int64)
-    lo, lens = _row_spans(line.a, line.b, w * line.nrm, (cols + 0.5) * d, d, n)
+    lo, lens = _row_spans(line.a_q, line.b_q, _tube_radii(line.a_q, m, n, w), cols, m, n)
     u = np.repeat(cols, lens)
     v = _run_ranges(lo, lens)
     if line.chart == CHART_SHALLOW:
@@ -283,9 +290,10 @@ def tube_cells(
 def tube_cell_count(line: Line, w: float, cell_scale: Scale | None = None) -> int:
     """Cell count of tube_cells without materializing the set."""
     scale = cell_scale if cell_scale is not None else line.scale
-    d = scale.delta
-    x = (np.arange(scale.n, dtype=np.int64) + 0.5) * d
-    _, lens = _row_spans(line.a, line.b, w * line.nrm, x, d, scale.n)
+    max(scale, line.scale).require_base()  # the finer scale bounds the integers
+    m, n = line.scale.n, scale.n
+    R = _tube_radii(line.a_q, m, n, w)
+    _, lens = _row_spans(line.a_q, line.b_q, R, np.arange(n, dtype=np.int64), m, n)
     return int(lens.sum())
 
 
@@ -293,44 +301,31 @@ def _tube_counts(fr: _FrameTable, scale: Scale) -> np.ndarray:
     """tube_cell_count(line, delta) of every line of fr at this scale (the
     chart does not change the count), one slope at a time.
 
-    Take x = (col + 0.5) delta and a = a_q delta.  c = a*x + b is exact: it
-    is an integer times delta^2/2, below 2^53 for k <= 25.  So the unclipped
-    rows of a line's tube at a column are those of its slope's b = 0 tube
-    moved by b_q rows, unless a rounding in (c -+ W)/delta - 0.5 carries one
-    across an integer.  As |c -+ W| < 4, the two roundings together are
-    below 2^(k-50), so a column whose b = 0 value lies more than 2^(k-48)
-    from every integer rounds the same way for every b_q.  The other
-    (slope, column) pairs are left out of the shared rows and counted per
-    line with _row_spans, and past k = 25 every pair is.  Clipped to rows
-    [0, n), a line's count is the number of its slope's rows r with
-    0 <= r + b_q < n: two lookups in the prefix sums of the slope's row
-    counts.  Slopes go in chunks of about _SLOPE_CHUNK (slope x column)
-    entries.
+    Raising b_q by one raises C by 2n, so it moves every row of a line's tube
+    by exactly one: the unclipped rows of a line are those of its slope's
+    b = 0 tube moved by b_q rows.  Clipped to rows [0, n), a line's count is
+    the number of its slope's rows r with 0 <= r + b_q < n: two lookups in the
+    prefix sums of the slope's row counts.  Slopes go in chunks of about
+    _SLOPE_CHUNK (slope x column) entries.
     """
-    k, d, n = scale.k, scale.delta, scale.n
+    n = scale.n
     order = np.argsort(fr.a_q, kind="stable")
-    slopes, first, per_slope = np.unique(fr.a_q[order], return_index=True, return_counts=True)
-    nrm = fr.nrm[order[first]]  # nrm = hypot(1, a) is the same on every line of a slope
+    slopes, per_slope = np.unique(fr.a_q[order], return_counts=True)
+    radii = _tube_radii(slopes, n, n, scale.delta)
     b_q = fr.b_q[order]
     line_ends = np.cumsum(per_slope)
-    x = (np.arange(n, dtype=np.int64) + 0.5) * d
-    tol = math.ldexp(1.0, k - _TIE_BITS) if k <= 25 else math.inf
-    # b = 0 tube rows lie in (-n - 3, n + 3); row r is column r + off
-    off, width = n + 4, 2 * n + 9
+    odd = 2 * np.arange(n, dtype=np.int64) + 1
+    # b = 0 tube rows lie in [-n - 1, n]; row r is column r + off
+    off, width = n + 1, 2 * n + 3
     counts = np.empty(order.size, dtype=np.int64)
     for s0, s1 in _line_chunks(np.full(slopes.size, n), _SLOPE_CHUNK):
         m = s1 - s0
-        a, W = slopes[s0:s1, None] * d, d * nrm[s0:s1, None]
-        c = a * x  # b = 0
-        v_lo, v_hi = (c - W) / d - 0.5, (c + W) / d - 0.5
-        near = (np.abs(v_lo - np.round(v_lo)) <= tol) | (np.abs(v_hi - np.round(v_hi)) <= tol)
-        far = ~near
-        # W >= delta, so lo <= hi: +1 at lo and -1 at hi + 1, summed along
-        # the row axis, count the columns whose tube holds each row
-        at = (np.arange(m) * width + off)[far.nonzero()[0]]
-        lo, hi = np.ceil(v_lo[far]).astype(np.int64), np.floor(v_hi[far]).astype(np.int64)
-        size = m * width
-        steps = np.bincount(at + lo, minlength=size) - np.bincount(at + hi + 1, minlength=size)
+        C, R = slopes[s0:s1, None] * odd, radii[s0:s1, None]  # b = 0
+        # rows lo..hi, with R >= 2n, so lo <= hi: +1 at lo and -1 at hi + 1,
+        # summed along the row axis, count the columns whose tube holds each row
+        at, size = np.arange(m)[:, None] * width + off, m * width
+        lo, end = at - (R + n - C) // (2 * n), at + (C + R - n) // (2 * n) + 1
+        steps = np.bincount(lo.ravel(), minlength=size) - np.bincount(end.ravel(), minlength=size)
         upto = np.zeros((m, width + 1), dtype=np.int64)  # upto[s, i]: rows below i - off
         upto[:, 1:] = steps.reshape(m, width).cumsum(axis=1).cumsum(axis=1)
         l0, l1 = line_ends[s0] - per_slope[s0], line_ends[s1 - 1]
@@ -340,10 +335,6 @@ def _tube_counts(fr: _FrameTable, scale: Scale) -> np.ndarray:
         counts[l0:l1] = (
             flat[slope + np.clip(n - b + off, 0, width)] - flat[slope + np.clip(off - b, 0, width)]
         )
-        for s in np.flatnonzero(near.any(axis=1)).tolist():
-            ls = slice(line_ends[s0 + s] - per_slope[s0 + s], line_ends[s0 + s])
-            _, lens = _row_spans(a[s, 0], b_q[ls, None] * d, W[s, 0], x[near[s]], d, n)
-            counts[ls] += lens.sum(axis=1)
     out = np.empty_like(counts)
     out[order] = counts
     return out
@@ -353,10 +344,11 @@ def _tube_counts(fr: _FrameTable, scale: Scale) -> np.ndarray:
 class Shading:
     """A union of cells near a line: the lit-up part of the tube.
 
-    Cells must lie within twice their own width of the line; primary
-    shadings produced by generators stay within one width, the factor-2
-    headroom admits coarsened carriers whose cell centers drift by up to
-    half a coarse cell.
+    Each cell center lies within 2 delta hypot(1, a) of the line (up to
+    2 sqrt(2) delta at slope +-1): |N| <= 4n + floor(4 a_q^2 / n), see
+    _check_in_tube.  Primary shadings produced by generators stay within one
+    width, the factor-2 headroom admits coarsened carriers whose cell centers
+    drift by up to half a coarse cell.
     """
 
     line: Line
@@ -370,9 +362,8 @@ class Shading:
             raise GeometryError("shading line and cells on different scales")
         if self.cells.is_empty():
             raise GeometryError("shading must be nonempty")
-        _, off = self.arc_and_offset()
-        if np.max(np.abs(off)) > _tube_slack(self.line.nrm, self.cells.scale.delta):
-            raise GeometryError("shading cell outside the tube")
+        line = self.line
+        _check_in_tube(line.a_q, line.b_q, line.chart == CHART_STEEP, self.cells.codes, line.scale.n)
 
     @staticmethod
     def _from_checked(line: Line, cells: CellSet) -> "Shading":
@@ -461,7 +452,8 @@ class LineFamily:
             part, run = fr.rows(slice(lo, hi)), codes[lo:hi]
             cat, owner = np.concatenate(run), np.repeat(np.arange(hi - lo), part.sizes)
             _check_codes(cat, n, owner[1:] == owner[:-1])
-            _check_in_tube(part, cat, scale.delta)
+            keys = (np.repeat(col, part.sizes) for col in (part.a_q, part.b_q))
+            _check_in_tube(*keys, chart == CHART_STEEP, cat, n)
             for frame, c in zip(zip(*(v.tolist() for v in part[2:])), run):
                 line = object.__new__(Line)
                 for name, v in zip(names, (scale, chart, *frame)):
@@ -588,10 +580,10 @@ def dual_line(p: tuple[float, float], scale: Scale, chart: str = CHART_SHALLOW) 
 
 
 def _quantize_exact(x: float, d: float, what: str) -> int:
-    q = round(x / d)
-    if abs(q * d - x) > 1e-12:
+    q = x / d  # exact, as d is a power of two
+    if not float(q).is_integer():
         raise GeometryError(f"{what} {x} is not a multiple of delta")
-    return q
+    return int(q)
 
 
 # -- incidence structure ------------------------------------------------------

@@ -38,7 +38,7 @@ class GridError(ValueError):
 class Scale:
     """Grid scale 2**-k.
 
-    Configurations (line families, generators) require k >= 2; coarsened
+    Configurations (line families, generators) require 2 <= k <= 29; coarsened
     carriers produced by ``coarsen`` may sit at k = 0 or 1.
     """
 
@@ -62,6 +62,8 @@ class Scale:
     def require_base(self) -> "Scale":
         if self.k < 2:
             raise GridError(f"base scales need k >= 2 (delta <= 1/4), got k={self.k}")
+        if self.k > 29:  # the tube predicate's integers stay below 9 n^2 < 2^63
+            raise GridError(f"base scales need k <= 29 (int64 tube arithmetic), got k={self.k}")
         return self
 
 

@@ -5,6 +5,7 @@ with the library)."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -110,6 +111,52 @@ def naive_tube_cells(line: Line, w: float) -> set[tuple[int, int]]:
         for j in range(n):
             if line.distance((i + 0.5) * d, (j + 0.5) * d) <= w:
                 out.add((i, j))
+    return out
+
+
+def exact_tube_cells(
+    line: Line, w: float, cell_scale: Scale | None = None, columns=None
+) -> set[tuple[int, int]]:
+    """Cells (at cell_scale, default the line's scale) whose center lies
+    within distance w of the line, in the chart columns `columns` (default
+    all), decided in Fractions: "center within w" squared."""
+    return _exact_cells_within(line, Fraction(w) ** 2, cell_scale, columns)
+
+
+def exact_shading_band(line: Line, columns=None) -> set[tuple[int, int]]:
+    """Cells on the line's scale that Shading admits: center offset at most
+    2 delta hypot(1, a), that is, squared, 4 delta^2 (1 + a^2)."""
+    a = Fraction(line.a_q, line.scale.n)
+    return _exact_cells_within(line, 4 * Fraction(1, line.scale.n) ** 2 * (1 + a * a), None, columns)
+
+
+def _exact_cells_within(line: Line, w2: Fraction, cell_scale, columns) -> set[tuple[int, int]]:
+    """Cells whose chart center (x, y) has (y - c)^2 <= w2 (1 + a^2), where
+    c = a x + b.  With c = P/Q and w2 (1 + a^2) = E/G in lowest terms and
+    y = (2v+1)/2n, that is ((2v+1) Q - 2n P)^2 G <= E (2n Q)^2.  In each
+    column the rows are walked out from the one under the line until the
+    first row past the band, so a column costs its band, not n checks."""
+    n = (cell_scale or line.scale).n
+    a, b = Fraction(line.a_q, line.scale.n), Fraction(line.b_q, line.scale.n)
+    bound = w2 * (1 + a * a)
+    E, G = bound.numerator, bound.denominator
+    out = set()
+    for u in range(n) if columns is None else [int(u) for u in columns]:
+        c = a * Fraction(2 * u + 1, 2 * n) + b
+        P, Q = c.numerator, c.denominator
+        rhs = E * (2 * n * Q) ** 2
+        start = min(max(math.floor(c * n), 0), n - 1)
+        for step in (1, -1):
+            v = start if step == 1 else start - 1
+            while 0 <= v < n:
+                gap = (2 * v + 1) * Q - 2 * n * P  # 2nQ (y - c)
+                if gap * gap * G <= rhs:
+                    out.add((u, v))
+                elif (gap > 0) == (step == 1):  # out, and on the far side of the line
+                    break
+                v += step
+    if line.chart == CHART_STEEP:
+        return {(v, u) for u, v in out}
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,18 +26,23 @@ from tubelab import (
     union_shadings,
 )
 from tubelab import geometry
+from tubelab.constructions import _nearest_tube_codes, build_base
 from tubelab.geometry import (
     _CHUNK_CELLS,
     CHART_SHALLOW,
     CHART_STEEP,
     _FrameTable,
     _line_chunks,
+    _tube_counts,
     segment_count,
     tube_cell_count,
 )
+from tubelab.grid import _decode
 from tubelab.structure import verify_shading_multiscale
 
 from conftest import (
+    exact_shading_band,
+    exact_tube_cells,
     naive_tube_cells,
     random_family,
     random_line,
@@ -215,6 +221,9 @@ def test_double_roundtrip_bit_exact():
 def test_dual_line_rejects_off_grid():
     with pytest.raises(GeometryError):
         dual_line((0.3, 0.0), Scale(4))
+    # within 1e-12 of the grid point (0.5, 0.25), but not on it
+    with pytest.raises(GeometryError, match="not a multiple of delta"):
+        dual_line((0.5 + 1e-13, 0.25 - 3e-13), Scale(4))
 
 
 def test_distance_distortion_bounded():
@@ -245,17 +254,13 @@ def test_shading_requires_tube_membership():
         Shading(line, CellSet.from_cells(sc, []))
 
 
-@pytest.mark.parametrize("k", [4, 7, 10])
-def test_tube_check_on_the_slack_boundary(k):
-    # A cell center lies at offset exactly 2 delta hypot(1, a) from its line
-    # when a_q (2i+1) n - (2j+1) n^2 + 2 b_q n^2 = +-4 (n^2 + a_q^2), which has
-    # integer solutions only for slopes a = +-1/4, +-3/4 and +-1.  Shading and
-    # the batched check accept such cells even without the 1e-12 of
-    # _tube_slack, and reject the cell one row further out.
+def _slack_boundary_cells(k: int):
+    """(line, cell, further) for cells whose center lies at offset exactly
+    2 delta hypot(1, a) from a line of scale k, on both charts: `further` is
+    the cell one row further out, or None off the square."""
     sc = Scale(k)
     n = sc.n
     i = np.arange(n, dtype=np.int64)
-    checked = 0
     for a_q in (n // 4, 3 * n // 4, n, -n // 4, -3 * n // 4, -n):
         for b_q in range(-n, 2 * n + 1, n // 4 + 1):
             for sgn in (1, -1):
@@ -272,18 +277,207 @@ def test_tube_check_on_the_slack_boundary(k):
                     except GeometryError:  # misses the square
                         continue
                     flip = (lambda u, v: (u, v)) if chart == CHART_SHALLOW else (lambda u, v: (v, u))
-                    cells = CellSet.from_cells(sc, [flip(ci, cj)])
-                    off = abs(line.project(*cells.centers().T)[1][0])
-                    bound = 2 * sc.delta * math.hypot(1.0, line.a)
-                    assert bound * (1 - 1e-15) <= off <= bound
-                    Shading(line, cells)
-                    key = np.array([a_q]), np.array([b_q])
-                    LineFamily._from_arrays(sc, chart, *key, [cells.codes])
-                    if 0 <= cj - sgn < n:
-                        with pytest.raises(GeometryError):
-                            Shading(line, CellSet.from_cells(sc, [flip(ci, cj - sgn)]))
-                    checked += 1
+                    further = flip(ci, cj - sgn) if 0 <= cj - sgn < n else None
+                    yield line, flip(ci, cj), further
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_tube_check_on_the_slack_boundary(k):
+    # A cell center lies at offset exactly 2 delta hypot(1, a) from its line
+    # when a_q (2i+1) n - (2j+1) n^2 + 2 b_q n^2 = +-4 (n^2 + a_q^2), which has
+    # integer solutions only for slopes a = +-1/4, +-3/4 and +-1.  Shading and
+    # the batched check accept such cells (|N| = 4n + 4 a_q^2 / n exactly, with
+    # no slack), and reject the cell one row further out.
+    sc = Scale(k)
+    checked = 0
+    for line, cell, further in _slack_boundary_cells(k):
+        cells = CellSet.from_cells(sc, [cell])
+        off = abs(line.project(*cells.centers().T)[1][0])
+        bound = 2 * sc.delta * math.hypot(1.0, line.a)
+        assert bound * (1 - 1e-15) <= off <= bound
+        Shading(line, cells)
+        key = np.array([line.a_q]), np.array([line.b_q])
+        LineFamily._from_arrays(sc, line.chart, *key, [cells.codes])
+        if further is not None:
+            with pytest.raises(GeometryError):
+                Shading(line, CellSet.from_cells(sc, [further]))
+        checked += 1
     assert checked >= 24
+
+
+# -- the exact tube predicate ---------------------------------------------------------
+
+
+def _admits(line: Line, cells) -> bool:
+    """Whether Shading and the batched check of LineFamily._from_arrays both
+    admit the cells; they must agree."""
+    cs = CellSet.from_cells(line.scale, cells)
+    verdicts = []
+    for make in (
+        lambda: Shading(line, cs),
+        lambda: LineFamily._from_arrays(
+            line.scale, line.chart, np.array([line.a_q]), np.array([line.b_q]), [cs.codes]
+        ),
+    ):
+        try:
+            make()
+            verdicts.append(True)
+        except GeometryError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0]
+
+
+def _assert_tube_check_matches_band(line: Line, cols) -> None:
+    """The tube check admits the cells of the exact band in the columns cols
+    all together, admits each column's first and last band row alone and
+    rejects the rows next to them (in a column the band misses, rows 0 and
+    n - 1).  A column's band is one run of rows, so that is every cell."""
+    n = line.scale.n
+    flip = (lambda u, v: (u, v)) if line.chart == CHART_SHALLOW else (lambda u, v: (v, u))
+    band = exact_shading_band(line, cols)
+    for u in cols:
+        rows = [flip(*c)[1] for c in band if flip(*c)[0] == u]
+        ends = [min(rows) - 1, min(rows), max(rows), max(rows) + 1] if rows else [0, n - 1]
+        for v in ends:
+            if 0 <= v < n:
+                assert _admits(line, [flip(u, v)]) == (flip(u, v) in band)
+    if band:
+        assert _admits(line, sorted(band))
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_tube_check_matches_exact_oracle_on_the_slack_boundary(k):
+    for line, cell, further in _slack_boundary_cells(k):
+        u = cell[0] if line.chart == CHART_SHALLOW else cell[1]
+        band = exact_shading_band(line, [u])
+        assert cell in band and _admits(line, [cell])
+        if further is not None:
+            assert further not in band and not _admits(line, [further])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_tube_predicate_matches_exact_oracle_on_every_key(k):
+    # every key of the scale at w = delta: tube_cells and tube_cell_count on
+    # both charts (the steep tube is the shallow one transposed), and
+    # _tube_counts of all keys in one call per chart; up to k = 3, the tube
+    # check in every column too
+    sc = Scale(k)
+    n, d = sc.n, sc.delta
+    keys, want = [], []
+    for a_q in range(-n, n + 1):
+        for b_q in range(-n, 2 * n + 1):
+            try:
+                shallow, steep = Line(sc, CHART_SHALLOW, a_q, b_q), Line(sc, CHART_STEEP, a_q, b_q)
+            except GeometryError:  # misses the square
+                continue
+            cells = exact_tube_cells(shallow, d)
+            assert set(tube_cells(shallow, d).cells()) == cells
+            assert set(tube_cells(steep, d).cells()) == {(j, i) for i, j in cells}
+            assert tube_cell_count(steep, d) == len(cells)
+            if k <= 3:
+                _assert_tube_check_matches_band(shallow, range(n))
+            keys.append((a_q, b_q))
+            want.append(len(cells))
+    a_q, b_q = np.array(keys, dtype=np.int64).T
+    for steep in (False, True):
+        fr = _FrameTable.of(sc, np.ones_like(a_q), np.full(a_q.size, steep), a_q, b_q)
+        assert _tube_counts(fr, sc).tolist() == want
+
+
+def _exact_nearest_row(line: Line, u: int) -> int:
+    """The row whose center is nearest the line in chart column u (ties go to
+    the even row), clipped to the square, in Fractions."""
+    n = line.scale.n
+    c = Fraction(line.a_q, n) * Fraction(2 * u + 1, 2 * n) + Fraction(line.b_q, n)
+    return min(max(round(c * n - Fraction(1, 2)), 0), n - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 29),
+    refine=st.one_of(st.just(0), st.integers(1, 27)),
+    chart=st.sampled_from([CHART_SHALLOW, CHART_STEEP]),
+    width=st.sampled_from(["delta", "2 delta", "random"]),
+    data=st.data(),
+)
+def test_tube_predicates_match_exact_oracle_on_sampled_keys(k, refine, chart, width, data):
+    # keys at any scale up to k = 29, cells on the line's scale or a finer
+    # one; only the drawn columns are asked for, so nothing n-sized is built
+    sc, cell = Scale(k), Scale(min(29, k + refine))
+    n, nc, d = sc.n, cell.n, cell.delta
+    # a = +-3/4 makes 4 (n^2 + a_q^2) a square, so centers can lie on the tube's edge
+    special = [0, n, -n, 3 * n // 4, -(3 * n // 4), n // 2, 1, -1]
+    a_q = data.draw(st.one_of(st.sampled_from(special), st.integers(-n, n)))
+    lo_b, hi_b = -max(a_q, 0), n - min(a_q, 0)  # the intercepts whose line meets the square
+    b_q = data.draw(st.one_of(st.sampled_from([lo_b, hi_b, 0, n]), st.integers(lo_b, hi_b)))
+    line = Line(sc, chart, a_q, b_q)
+    w = {"delta": d, "2 delta": 2 * d}.get(width) or data.draw(st.floats(d, min(0.5, 32 * d)))
+    cols = sorted({0, nc - 1, *data.draw(st.lists(st.integers(0, nc - 1), max_size=4))})
+    assert set(tube_cells(line, w, cell, cols).cells()) == exact_tube_cells(line, w, cell, cols)
+    if cell.k <= 6:
+        assert tube_cell_count(line, w, cell) == len(exact_tube_cells(line, w, cell))
+    if refine:
+        return
+    steep = np.array([chart == CHART_STEEP])
+    fr = _FrameTable.of(sc, np.zeros(1, dtype=np.int64), steep, np.array([a_q]), np.array([b_q]))
+    if k <= 10:
+        assert _tube_counts(fr, sc)[0] == len(exact_tube_cells(line, sc.delta))
+    _assert_tube_check_matches_band(line, cols)
+    # the nearest cells of build_base, for the columns whose center lies in
+    # the line's parameter range widened by half a cell
+    codes = _nearest_tube_codes(sc, chart, fr, np.array([cols], dtype=np.int64))[0]
+    got = set(zip(*(ij.tolist() for ij in _decode(codes))))
+    flip = (lambda u, v: (u, v)) if chart == CHART_SHALLOW else (lambda u, v: (v, u))
+    u0, u1 = line.param_range()
+    inside = [u for u in cols if u0 - sc.delta / 2 <= (u + 0.5) * sc.delta <= u1 + sc.delta / 2]
+    if not inside:
+        inside = [min(max(int((u0 + u1) / 2 / sc.delta), 0), n - 1)]
+    want = {flip(u, _exact_nearest_row(line, u)) for u in inside}
+    assert got == want & exact_tube_cells(line, sc.delta, columns=inside)
+
+
+@pytest.mark.parametrize("chart", [CHART_SHALLOW, CHART_STEEP])
+@pytest.mark.parametrize("k, t, s, seed", [(3, 1.0, 1.0, 1), (5, 1.5, 0.6, 2), (7, 1.2, 0.8, 3)])
+def test_build_base_cells_are_the_exact_nearest_tube_cells(chart, k, t, s, seed):
+    F = build_base(2.0**-k, t, s, seed, chart)
+    d = F.scale.delta
+    for line, sh in F.entries:
+        for cell in sh.cells.cells():
+            u, v = cell if chart == CHART_SHALLOW else cell[::-1]
+            assert v == _exact_nearest_row(line, u)
+            assert cell in exact_tube_cells(line, d, columns=[u])
+
+
+def test_tube_check_refuses_a_cell_just_past_its_bound():
+    # y = x / n at k = 20 and the cell (n/2 - 1, 2): N = 4n + 1, one past the
+    # bound 4n + floor(4/n) = 4n, an offset 4.5e-13 beyond 2 delta hypot(1, a).
+    # A float check with a 1e-12 slack took it, from a family.json too.
+    sc = Scale(20)
+    n = sc.n
+    line = Line(sc, CHART_SHALLOW, 1, 0)
+    assert exact_shading_band(line, [n // 2 - 1]) == {(n // 2 - 1, 0), (n // 2 - 1, 1)}
+    assert not _admits(line, [(n // 2 - 1, 2)])
+    obj = {"k": 20, "lines": [{"chart": "t", "a_q": 1, "b_q": 0, "cells": [[2, n // 2 - 1]]}]}
+    with pytest.raises(GeometryError, match="outside the tube"):
+        LineFamily.from_json_obj(obj)
+
+
+def test_scales_past_29_are_refused_up_front():
+    # the tube predicate's integers would overflow int64 at k = 30; each
+    # refusal comes before anything n-sized is built
+    with pytest.raises(GridError, match="k <= 29"):
+        Line(Scale(30), CHART_SHALLOW, 0, 0)
+    with pytest.raises(GridError, match="k <= 29"):
+        LineFamily._from_arrays(Scale(30), CHART_SHALLOW, np.zeros(1, np.int64),
+                                np.zeros(1, np.int64), [np.zeros(1, np.uint64)])
+    line = Line(Scale(29), CHART_SHALLOW, 0, 1 << 28)
+    with pytest.raises(GridError, match="k <= 29"):
+        tube_cells(line, 2.0**-29, cell_scale=Scale(30), columns=[0])
+    with pytest.raises(GridError, match="k <= 29"):
+        tube_cell_count(line, 2.0**-29, cell_scale=Scale(30))
+    # y = 1/2 at k = 29: the two rows next to it, in column 0 alone
+    assert set(tube_cells(line, 2.0**-29, columns=[0]).cells()) == {(0, (1 << 28) - 1), (0, 1 << 28)}
 
 
 def test_union_single_and_disjoint():

@@ -633,16 +633,14 @@ def _slope_sharing_shadings(rng: np.random.Generator, k: int, n_slopes: int) -> 
     return out
 
 
-@pytest.mark.parametrize("mode", ["shared", "every_column_alone", "one_slope_per_chunk"])
+@pytest.mark.parametrize("mode", ["shared", "one_slope_per_chunk"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(k=st.integers(2, 9), n_slopes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_densities_per_slope_match_reference(mode, k, n_slopes, seed):
     shadings = _slope_sharing_shadings(np.random.default_rng(seed), k, n_slopes)
     want = np.array([reference_density(sh) for sh in shadings])
     with pytest.MonkeyPatch.context() as mp:
-        if mode == "every_column_alone":  # a tolerance of 2^k flags every column
-            mp.setattr(geometry, "_TIE_BITS", 0)
-        elif mode == "one_slope_per_chunk":
+        if mode == "one_slope_per_chunk":
             mp.setattr(geometry, "_SLOPE_CHUNK", 1)
         F = LineFamily(Scale(k), tuple((sh.line, sh) for sh in shadings))
         assert np.array_equal(densities(F), want)
