@@ -230,18 +230,23 @@ def _lend_projections(shadings: Sequence["Shading"], arc: np.ndarray, off: np.nd
                 object.__delattr__(sh, "_proj")
 
 
-def _tube_radii(a_q, m: int, n: int, w: float) -> np.ndarray:
-    """R of the width-w tube of each slope a_q/m (an int or an array), exact
-    for any float w, one isqrt per distinct slope.  The tube predicate: the
-    chart line v = (a_q u + b_q)/m and the cell (u, v) of width 1/n give
-    C = a_q (2u+1) + 2 b_q n and N = m (2v+1) - C, the center's vertical
-    offset times 2nm, so the center lies within w of the line exactly when
-    |N| <= R = isqrt(floor(4 n^2 w^2 (m^2 + a_q^2))).  All of it stays below
-    2^62 for k <= 29 (Scale.require_base)."""
+def _tube_radii(a_q, m: int, n: int, w: float):
+    """R of the width-w tube of each slope a_q/m, exact for any float w: an
+    int for a scalar a_q, else an array with one isqrt per distinct slope.
+    The tube predicate: the chart line v = (a_q u + b_q)/m and the cell
+    (u, v) of width 1/n give C = a_q (2u+1) + 2 b_q n and N = m (2v+1) - C,
+    the center's vertical offset times 2nm, so the center lies within w of
+    the line exactly when |N| <= R = isqrt(floor(4 n^2 w^2 (m^2 + a_q^2))).
+    All of it stays below 2^62 for k <= 29 (Scale.require_base)."""
     p, q = float(w).as_integer_ratio()
+
+    def radius(a: int) -> int:
+        return math.isqrt(4 * n * n * p * p * (m * m + a * a) // (q * q))
+
+    if np.ndim(a_q) == 0:
+        return radius(int(a_q))
     slopes, inverse = np.unique(a_q, return_inverse=True)
-    radii = [math.isqrt(4 * n * n * p * p * (m * m + a * a) // (q * q)) for a in slopes.tolist()]
-    return np.array(radii, dtype=np.int64)[inverse]
+    return np.array([radius(a) for a in slopes.tolist()], dtype=np.int64)[inverse]
 
 
 def _check_in_tube(a_q, b_q, steep: bool, codes: np.ndarray, n: int) -> None:

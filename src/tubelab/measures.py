@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -88,6 +89,7 @@ def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
 
 _BIG = 1 << 32  # cell key iq * 2^32 + jq with a signed jq
 _BLOCK = tuple(u * _BIG + w for u in (-1, 0, 1) for w in (-1, 0, 1))
+_BLOCK_ARRAY = np.array(_BLOCK, dtype=np.int64)[:, None]
 # |coordinate| / r below this keeps a cell's index and its neighbours' (one
 # more either way) inside the signed 32 bits of jq, so no two keys alias.
 _KEY_LIMIT = (1 << 31) - 1
@@ -108,65 +110,159 @@ def _cell_keys(pts: np.ndarray, r: float) -> np.ndarray:
     return iq * _BIG + np.floor(pts[:, 1] / r).astype(np.int64)
 
 
+def _yx_order(pts: np.ndarray) -> np.ndarray | slice:
+    """Row order of pts by (y, x), ties in input order, as np.lexsort gives
+    it; slice(None) when the rows already come so (CellSet centers do, in
+    code order), which saves the sort."""
+    x, y = pts[:, 0], pts[:, 1]
+    if np.all((y[1:] > y[:-1]) | ((y[1:] == y[:-1]) & (x[1:] >= x[:-1]))):
+        return slice(None)
+    return np.lexsort((x, y))
+
+
+def _cap_loop(
+    rows: list, Ks: list[int], offsets: tuple[int, ...], counts, blocked: set, limit: int
+) -> bytearray:
+    """The greedy cap rule over points given, in order, by their cell ids
+    (one per level); the 0/1 acceptance of each row.
+
+    A point is rejected when one of its cells is in blocked.  Otherwise it
+    is accepted, and each of the 9 Q around its cell c at each level (c + o
+    over the 9 offsets) has its count raised; a Q whose count reaches its
+    level's K = floor(cap) puts the 3x3 cells around it into blocked.  After
+    limit accepted points every later one is rejected.  counts is a flat list
+    over a box of ids or a dict that reads 0 for a new key; it and blocked
+    keep their state across calls.
+    """
+    keep = bytearray(len(rows))
+    disjoint = blocked.isdisjoint
+    for p, cells in enumerate(rows):
+        if disjoint(cells):
+            keep[p] = 1
+            for c, K in zip(cells, Ks):
+                for o in offsets:
+                    q = c + o
+                    m = counts[q] + 1
+                    counts[q] = m
+                    if m == K:
+                        blocked.update([q + b for b in offsets])
+            limit -= 1
+            if not limit:
+                break
+    return keep
+
+
 class TripledCaps:
     """Greedy acceptance under caps on every tripled cell 3Q.
 
     levels holds (r, cap) pairs.  A point is accepted when, at every level,
     each dyadic r-cell Q whose 3Q contains it still holds at most cap points
-    in 3Q with the point added.  Per level, counts maps the key of Q to the
-    number of accepted points in 3Q, and full holds every cell of the 3x3
-    block around each Q with counts + 1 > cap: a point is rejected exactly
-    when its cell is in full at some level.  Once Q is full no point of its
-    block is accepted, so its count never moves again.  A cap below 1 makes
-    every Q full from the start (closed), so nothing is accepted.
+    in 3Q with the point added.  Counts are whole, so count + 1 > cap first
+    holds at K = floor(cap) for every cap >= 1: a Q whose count reaches K
+    blocks the 3x3 cells around it, and a point is rejected exactly when its
+    cell is blocked at some level.  Once Q is blocked no point of its block
+    is accepted, so its count never moves again.  A cap below 1 closes the
+    greedy, so nothing is accepted; an infinite cap never binds (its K = 0
+    is never reached).  _cap_loop runs the rule for try_add and keep_mask.
+
+    The two share their state across calls, so there is no bounding box to
+    number cells by: the cell of packed key k (_cell_keys) at level l of L
+    has the id k * L + l, and its 3x3 block the offsets o * L of _BLOCK.
+    counts maps ids to the number of accepted points in 3Q; blocked holds
+    the blocked ids.
     """
 
     def __init__(self, levels: Sequence[tuple[float, float]]) -> None:
         self.levels = list(levels)
-        self.counts: list[dict[int, int]] = [{} for _ in self.levels]
-        self.full: list[set[int]] = [set() for _ in self.levels]
         self.closed = any(1 > cap for _, cap in self.levels)
         self._finest = min((r for r, _ in self.levels), default=math.inf)
+        self._Ks = [math.floor(cap) if cap < math.inf else 0 for _, cap in self.levels]
+        self._offsets = tuple(o * len(self.levels) for o in _BLOCK)
+        self.counts: defaultdict[int, int] = defaultdict(int)
+        self.blocked: set[int] = set()
 
-    def _add(self, cells: Sequence[int]) -> bool:
-        """try_add for a point given by its cell key at every level."""
-        if self.closed or any(map(set.__contains__, self.full, cells)):
-            return False
-        for c, (_, cap), g, f in zip(cells, self.levels, self.counts, self.full):
-            for q in [c + o for o in _BLOCK]:
-                n = g[q] = g.get(q, 0) + 1
-                if n + 1 > cap:
-                    f.update([q + o for o in _BLOCK])
-        return True
+    def _accept(self, rows: list) -> bytearray:
+        if self.closed:
+            return bytearray(len(rows))
+        return _cap_loop(rows, self._Ks, self._offsets, self.counts, self.blocked, len(rows))
 
     def try_add(self, x: float, y: float) -> bool:
         """Accept (x, y) if no cap is exceeded; counts change only on accept."""
         _check_key_width(max(abs(x), abs(y)), self._finest)
-        return self._add([math.floor(x / r) * _BIG + math.floor(y / r) for r, _ in self.levels])
+        L = len(self.levels)
+        keys = [math.floor(x / r) * _BIG + math.floor(y / r) for r, _ in self.levels]
+        return bool(self._accept([[k * L + l for l, k in enumerate(keys)]])[0])
 
     def keep_mask(self, pts: np.ndarray) -> np.ndarray:
         """try_add over the rows of pts in (y, x) lexicographic order; the mask
         of the accepted rows."""
-        order = np.lexsort((pts[:, 0], pts[:, 1]))
-        keys = [_cell_keys(pts[order], r).tolist() for r, _ in self.levels]
-        keep = np.zeros(pts.shape[0], dtype=bool)
-        for p, cells in zip(order.tolist(), zip(*keys)):
-            if self._add(cells):
-                keep[p] = True
+        order = _yx_order(pts)
+        xy = pts[order]
+        L = len(self.levels)
+        keys = [_cell_keys(xy, r).tolist() for r, _ in self.levels]
+        cols = [[k * L + l for k in col] for l, col in enumerate(keys)]
+        rows = list(zip(*cols)) if cols else [()] * len(xy)
+        keep = np.zeros(len(xy), dtype=bool)
+        keep[order] = np.frombuffer(self._accept(rows), dtype=bool)
         return keep
 
 
-def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.ndarray:
-    """TripledCaps(levels).keep_mask(pts), from the levels whose cap can bind.
+# Box cells per point below which _keep_capped numbers the cells of every
+# level in one flat box; from there on (a wide cloud at a fine r) it uses
+# dicts.
+_FLAT_CELLS = 32
 
-    Before each candidate, a fresh TripledCaps given n points holds at most
-    n - 1 of them in any 3Q, so a level with cap >= n never rejects one: it
-    is left out, and with no level left every point is kept.  The key-width
-    refusal still checks the finest of all levels."""
+
+def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.ndarray:
+    """TripledCaps(levels).keep_mask(pts) from fresh state, on flat cell ids.
+
+    Before each candidate, fresh caps given n points hold at most n - 1 of
+    them in any 3Q, so a level with cap >= n never rejects one: it is left
+    out, and with no level left every point is kept.  The key-width refusal
+    still checks the finest of all levels.  A level whose cells span at most
+    3 each way is one counter (see below), so only a limit on the number of
+    accepted points is left of it.
+
+    Each other level l numbers its cells within its bounding box, widened by
+    the 2 cells that a block reaches past a neighbour: id = base_l + (iq -
+    i0) * W + (jq - j0), with one width W for all levels, so the 3x3 block
+    is the 9 fixed offsets u * W + v and one flat list of counts covers every
+    level.  _cap_loop runs the rule on those ids.  When the boxes hold
+    _FLAT_CELLS cells per point or more (128 points' worth at least), the
+    points go to TripledCaps instead, whose dicts hold only the cells met,
+    so a sparse cloud never allocates its box.  Both give the same mask.
+    """
     n = pts.shape[0]
     _check_key_width(np.abs(pts).max(initial=0.0), min(r for r, _ in levels))
     binding = [(r, cap) for r, cap in levels if cap < n]
-    return TripledCaps(binding).keep_mask(pts) if binding else np.ones(n, dtype=bool)
+    if not binding:
+        return np.ones(n, dtype=bool)
+    if any(1 > cap for _, cap in binding):
+        return np.zeros(n, dtype=bool)
+    order = _yx_order(pts)
+    xy = pts[order]
+    cells = np.stack([np.floor(xy / r) for r, _ in binding], axis=1).astype(np.int64)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    Ks = [math.floor(cap) for _, cap in binding]
+    # A level whose cells span at most 3 each way is one counter: the Q at
+    # the middle has every point in 3Q and the largest count, and reaching
+    # K it blocks them all.  So it rejects exactly the points after K accepted.
+    small = ((hi - lo) <= 2).all(axis=1).tolist()
+    limit = min([K for K, s in zip(Ks, small) if s], default=n)
+    wide = [l for l, s in enumerate(small) if not s]
+    cells, lo, Ks = cells[:, wide], lo[wide] - 2, [Ks[l] for l in wide]
+    span = (hi[wide] + 3 - lo).tolist()  # Python ints: no int64 wrap
+    W = max((w for _, w in span), default=0)
+    heights = [h for h, _ in span]
+    size = W * sum(heights)
+    if size >= _FLAT_CELLS * max(n, 128):
+        return TripledCaps(binding).keep_mask(pts)
+    ids = (cells - lo) @ np.array([W, 1]) + np.cumsum([0] + heights)[:-1] * W
+    offsets = tuple(u * W + v for u in (-1, 0, 1) for v in (-1, 0, 1))
+    keep = np.zeros(n, dtype=bool)
+    kept = _cap_loop(ids.tolist(), Ks, offsets, [0] * size, set(), limit)
+    keep[order] = np.frombuffer(kept, dtype=bool)
+    return keep
 
 
 def _unpack(key: int) -> tuple[int, int]:
@@ -190,10 +286,9 @@ def _tripled_max(
     best, wit_r, wit_x = -1.0, levels[0][0], (0.0, 0.0)
     for r, denom in levels:
         uniq, counts = _sorted_counts(_cell_keys(pts, r))
-        sums = np.zeros(uniq.size, dtype=np.int64)
-        for o in _BLOCK:
-            hit, pos = _member(uniq, uniq + o)
-            sums += np.where(hit, counts[pos], 0)
+        # nine sorted runs, one per offset, so the searchsorted stays fast
+        hit, pos = _member(uniq, _BLOCK_ARRAY + uniq)
+        sums = np.where(hit, counts[pos], 0).sum(axis=0)
         idx = int(np.argmax(sums))
         ratio = sums[idx] / denom
         if ratio > best:

@@ -2,11 +2,16 @@
 module and attribute name, and its workloads patch three names in lab's
 globals.  A rename, a moved method or a changed parameter list would break
 `perfbench/run.py --trace 1` without any other test failing; these tests pin
-what the benchmark relies on.  perfbench/ is only read here."""
+what the benchmark relies on, and one short traced run checks every
+postcondition of both workloads.  perfbench/ is only read here; the run
+writes under the git-ignored .perfbench_run/."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +19,8 @@ import pytest
 from tubelab import lab, measures
 from tubelab.constructions import ConfigSpec
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Parameter names of every WRAPPED callable, as the benchmark calls them.
 PARAMS = {
@@ -139,3 +145,18 @@ def test_gamma_sup_calls_gamma_once_per_line(monkeypatch):
     measures.gamma_sup(F, 0.5)
     assert len(F) > 1
     assert [id(Y) for Y in seen] == [id(sh) for _, sh in F.entries]
+
+
+def test_traced_benchmark_run_is_correct():
+    # one short traced run of both workloads: every structure-mix
+    # postcondition (the subsample's coarse Katz-Tao constant <= 8 among
+    # them), the seed-405 table.csv digest and the exact counts pinned in
+    # perfbench/reference.json
+    args = ["--workload", "all", "--trace", "1", "--seconds", "1"]
+    cmd = [sys.executable, "perfbench/run.py", *args]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

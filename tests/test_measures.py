@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -148,7 +150,7 @@ def test_tripled_caps_try_add_rejects_cell_indices_past_the_key_width():
     for x, y in [(0.0, 2.0), (2.0**-30, -2.0), (0.0, 2.0 - 2.0**-30), (-2.0, 0.0)]:
         with pytest.raises(MeasureError, match="32-bit key"):
             caps.try_add(x, y)
-    assert caps.counts == [{}]
+    assert not caps.counts and not caps.blocked
     # the finest level decides, wherever it sits among the levels
     for levels in ([(2.0**-30, 1.0), (1.0, 9.0)], [(1.0, 9.0), (2.0**-30, 1.0)]):
         with pytest.raises(MeasureError, match="32-bit key"):
@@ -295,12 +297,15 @@ def test_tripled_caps_matches_reference_in_draw_order(k, cap, s, n, spread, seed
     n_add=st.integers(0, 40),
     n_mask=st.integers(0, 200),
     on_grid=st.booleans(),
+    wide=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, seed):
+def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, wide, seed):
     # caps below 1, integer caps (count + 1 > cap on the boundary) and
     # fractional ones; grid points lie on cell edges at every level, and
-    # both kinds reach negative coordinates
+    # both kinds reach negative coordinates.  Wide inputs move some points
+    # 2^20 finest cells away on each axis, either way, so the state that
+    # try_add leaves for keep_mask holds keys far apart
     rng = np.random.default_rng(seed)
     d = 2.0**-k
     levels = [(d * 2**l, cap) for l, cap in enumerate(caps)]
@@ -309,6 +314,8 @@ def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, se
         pts = rng.integers(-(1 << k), (1 << k) + 1, size=(n, 2)).astype(np.float64) * d
     else:
         pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    if wide:
+        pts += rng.integers(-1, 2, size=(n, 2)) * (2.0**20 * d)
     tail = pts[n_add:]
     order = np.concatenate([np.arange(n_add), n_add + np.lexsort((tail[:, 0], tail[:, 1]))])
     expected = reference_capped_accept(pts, levels, order)
@@ -319,6 +326,20 @@ def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, se
         assert not expected.any()
 
 
+def _record_layouts(mp: pytest.MonkeyPatch) -> list[type]:
+    """Patch measures._cap_loop to record the type of counts of each run:
+    list for _keep_capped's flat box, defaultdict for TripledCaps's dicts."""
+    kinds = []
+    loop = measures._cap_loop
+
+    def spy(rows, Ks, offsets, counts, blocked, limit):
+        kinds.append(type(counts))
+        return loop(rows, Ks, offsets, counts, blocked, limit)
+
+    mp.setattr(measures, "_cap_loop", spy)
+    return kinds
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     k=st.integers(2, 6),
@@ -327,23 +348,72 @@ def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, se
     ),
     n=st.integers(0, 30),
     on_grid=st.booleans(),
+    dyadic=st.booleans(),
+    flat=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_keep_capped_matches_reference(k, caps, n, on_grid, seed):
+def test_keep_capped_matches_reference(k, caps, n, on_grid, dyadic, flat, seed):
     # levels with cap >= n are left out: some, all (n <= every cap) or none,
-    # and caps below 1 close the greedy
+    # and caps below 1 close the greedy.  A base r of 0.7 delta puts the
+    # grid points off the cell edges.  A budget of 0 or of 2^40 box cells
+    # per point runs each input on the dicts or on the flat box
     rng = np.random.default_rng(seed)
     d = 2.0**-k
-    levels = [(d * 2**l, cap) for l, cap in enumerate(caps)]
+    base = d if dyadic else 0.7 * d
+    levels = [(base * 2**l, cap) for l, cap in enumerate(caps)]
     if on_grid:
         pts = rng.integers(-(1 << k), (1 << k) + 1, size=(n, 2)).astype(np.float64) * d
     else:
         pts = rng.uniform(-1.0, 1.0, size=(n, 2))
     order = np.lexsort((pts[:, 0], pts[:, 1]))
     expected = reference_capped_accept(pts, levels, order)
-    assert np.array_equal(measures._keep_capped(levels, pts), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_FLAT_CELLS", 1 << 40 if flat else 0)
+        kinds = _record_layouts(mp)
+        got = measures._keep_capped(levels, pts)
+    assert np.array_equal(got, expected)
+    assert set(kinds) <= {list if flat else defaultdict}
     if n <= min(caps):
         assert expected.all()
+
+
+@pytest.mark.parametrize("base", [2.0**-10, 0.3 * 2.0**-10])
+def test_keep_capped_takes_the_layout_its_input_size_gives(base):
+    # a dense cluster fits a flat box; two clusters 2^20 finest cells apart
+    # on each axis would need a box of about 2^40 cells, so they run on the
+    # dicts.  Each comes shuffled, sorted by y alone, and in (y, x) order
+    # (which skips the sort); repeated points make the order of ties matter
+    rng = np.random.default_rng(7)
+    levels = [(base * 2**l, 2.0 + 1.5 * l) for l in range(4)]
+    cluster = rng.integers(0, 24, size=(300, 2)) * (base / 3)
+    far = np.concatenate([cluster[:150], cluster[150:] + 2.0**20 * base])
+    runs = [(rng.permutation(pts), layout) for pts, layout in [(cluster, list), (far, defaultdict)]]
+    runs += [(pts[np.argsort(pts[:, 1], kind="stable")], layout) for pts, layout in runs[:2]]
+    runs += [(pts[np.lexsort((pts[:, 0], pts[:, 1]))], layout) for pts, layout in runs[:2]]
+    for pts, layout in runs:
+        expected = reference_capped_accept(pts, levels, np.lexsort((pts[:, 0], pts[:, 1])))
+        with pytest.MonkeyPatch.context() as mp:
+            kinds = _record_layouts(mp)
+            got = measures._keep_capped(levels, pts)
+        assert kinds == [layout]
+        assert np.array_equal(got, expected)
+        assert 0 < expected.sum() < len(pts)
+
+
+def test_keep_capped_never_allocates_the_box_of_a_sparse_cloud():
+    # two points 2^20 cells apart on each axis at a level whose cap (1.5 < 2
+    # points) binds: their box would hold 2^40 cells
+    r = 2.0**-20
+    pts = np.array([[0.0, 0.0], [1.0 - r / 2, 1.0 - r / 2]])
+    levels = [(r, 1.5), (2 * r, 1.5)]
+    tracemalloc.start()
+    try:
+        got = measures._keep_capped(levels, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(got, reference_capped_accept(pts, levels, np.arange(2)))
 
 
 def test_keep_capped_refuses_keys_past_the_width_of_a_dropped_level():
