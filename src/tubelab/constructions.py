@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .geometry import (
     tube_cells,
     union_shadings,
 )
-from .measures import TripledCaps, _keep_capped, densities, katz_tao_constant, frostman_constant
+from .measures import (
+    TripledCaps, _katz_tao_levels, _keep_capped, densities, frostman_constant, katz_tao_constant
+)
 
 __all__ = [
     "ConstructionError",
@@ -147,14 +149,6 @@ def _cantor_positions_1d(
         else:
             pos = (pos[:, :, None] * 2 + np.arange(2)).reshape(count, 2 * pos.shape[1])
     return np.sort(pos, axis=1)
-
-
-def _katz_tao_levels(delta: float, s: float, cap: float) -> list[tuple[float, float]]:
-    """The (r, cap) levels of a greedy acceptance keeping every tripled dyadic
-    cell 3Q at every dyadic scale r in [delta, 1] at most cap*(r/delta)^s
-    full, fine to coarse."""
-    k = round(math.log2(1.0 / delta))
-    return [(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)]
 
 
 def build_base(
@@ -398,9 +392,7 @@ def random_config(
             f"rejection sampling infeasible: {len(chosen)}/{n_target} lines after {attempts} draws"
         )
     entries = []
-    for a_q, b_q in chosen:
-        line = Line(scale, CHART_SHALLOW, a_q, b_q)
-        tube = tube_cells(line, delta)
+    for line, tube in _tubes(scale, chosen):
         count = max(1, round(lambda_target * tube.n_cells))
         pick = np.sort(rng.choice(tube.n_cells, size=count, replace=False))
         cells = CellSet(scale, tube.codes[pick])
@@ -408,24 +400,22 @@ def random_config(
     return LineFamily(scale, tuple(entries))
 
 
+def _tubes(scale: Scale, keys) -> Iterator[tuple[Line, CellSet]]:
+    """The shallow-chart line of each (a_q, b_q) key, in order, with its tube."""
+    for a_q, b_q in keys:
+        line = Line(scale, CHART_SHALLOW, a_q, b_q)
+        yield line, tube_cells(line, scale.delta)
+
+
 def bush_config(delta: float, m: int = 32) -> LineFamily:
     """m lines through the center of the square with spread slopes, fully shaded."""
     scale = _scale_of(delta, "delta")
-    n = scale.n
-    half = n // 2
-    entries = []
-    seen = set()
-    for l in range(m):
-        frac = 2.0 * l / max(m - 1, 1) - 1.0
-        a_q = 2 * round(frac * half)
-        b_q = half - a_q // 2
-        if (a_q, b_q) in seen:
-            continue
-        seen.add((a_q, b_q))
-        line = Line(scale, CHART_SHALLOW, a_q, b_q)
-        tube = tube_cells(line, delta)
-        entries.append((line, Shading(line, tube)))
-    return LineFamily(scale, tuple(entries))
+    half = scale.n // 2
+    # the intercept is a function of the slope, so repeated slopes are repeated keys
+    slopes = dict.fromkeys(2 * round((2.0 * l / max(m - 1, 1) - 1.0) * half) for l in range(m))
+    keys = [(a_q, half - a_q // 2) for a_q in slopes]
+    tubes = _tubes(scale, keys)
+    return LineFamily(scale, tuple((line, Shading(line, tube)) for line, tube in tubes))
 
 
 def grid_config(delta: float, side: int = 16) -> LineFamily:
@@ -434,15 +424,9 @@ def grid_config(delta: float, side: int = 16) -> LineFamily:
     n = scale.n
     side = min(side, n)
     stride = max(1, n // side)
-    entries = []
-    for u in range(side):
-        for v in range(side):
-            a_q = -n // 2 + u * stride
-            b_q = v * stride
-            line = Line(scale, CHART_SHALLOW, a_q, b_q)
-            tube = tube_cells(line, delta)
-            entries.append((line, Shading(line, tube)))
-    return LineFamily(scale, tuple(entries))
+    keys = [(-n // 2 + u * stride, v * stride) for u in range(side) for v in range(side)]
+    tubes = _tubes(scale, keys)
+    return LineFamily(scale, tuple((line, Shading(line, tube)) for line, tube in tubes))
 
 
 def build_config(spec: ConfigSpec) -> LineFamily:

@@ -74,17 +74,23 @@ class GammaReport:
         }
 
 
-def _as_points(E, delta: float | None) -> tuple[np.ndarray, float]:
+def _katz_tao_points(E, s: float, delta: float | None) -> tuple[np.ndarray, float]:
+    """The points and delta of a katz_tao_constant input, or its MeasureError."""
+    if not (0.0 < s <= 2.0):
+        raise MeasureError(f"exponent {s} outside (0, 2]")
     if isinstance(E, CellSet):
         if E.is_empty():
             raise MeasureError("empty set")
-        return E.centers(), E.scale.delta
-    pts = np.asarray(E, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise MeasureError("expected a nonempty (n, 2) point array or CellSet")
-    if delta is None:
-        raise MeasureError("raw point sets need an explicit delta")
-    return pts, delta
+        pts, d = E.centers(), E.scale.delta
+    else:
+        pts, d = np.asarray(E, dtype=np.float64), delta
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+            raise MeasureError("expected a nonempty (n, 2) point array or CellSet")
+        if d is None:
+            raise MeasureError("raw point sets need an explicit delta")
+    if not (0.0 < d <= 1.0):
+        raise MeasureError(f"delta {d} outside (0, 1]")
+    return pts, d
 
 
 _BIG = 1 << 32  # cell key iq * 2^32 + jq with a signed jq
@@ -163,13 +169,13 @@ class TripledCaps:
     cell is blocked at some level.  Once Q is blocked no point of its block
     is accepted, so its count never moves again.  A cap below 1 closes the
     greedy, so nothing is accepted; an infinite cap never binds (its K = 0
-    is never reached).  _cap_loop runs the rule for try_add and keep_mask.
+    is never reached).  _cap_loop runs the rule, one point at a time here.
 
-    The two share their state across calls, so there is no bounding box to
-    number cells by: the cell of packed key k (_cell_keys) at level l of L
-    has the id k * L + l, and its 3x3 block the offsets o * L of _BLOCK.
-    counts maps ids to the number of accepted points in 3Q; blocked holds
-    the blocked ids.
+    The state lives across calls, so there is no bounding box to number
+    cells by: the cell of packed key k (_cell_keys) at level l of L has the
+    id k * L + l, and its 3x3 block the offsets o * L of _BLOCK.  counts
+    maps ids to the number of accepted points in 3Q; blocked holds the
+    blocked ids.
     """
 
     def __init__(self, levels: Sequence[tuple[float, float]]) -> None:
@@ -181,30 +187,15 @@ class TripledCaps:
         self.counts: defaultdict[int, int] = defaultdict(int)
         self.blocked: set[int] = set()
 
-    def _accept(self, rows: list) -> bytearray:
-        if self.closed:
-            return bytearray(len(rows))
-        return _cap_loop(rows, self._Ks, self._offsets, self.counts, self.blocked, len(rows))
-
     def try_add(self, x: float, y: float) -> bool:
         """Accept (x, y) if no cap is exceeded; counts change only on accept."""
         _check_key_width(max(abs(x), abs(y)), self._finest)
+        if self.closed:
+            return False
         L = len(self.levels)
         keys = [math.floor(x / r) * _BIG + math.floor(y / r) for r, _ in self.levels]
-        return bool(self._accept([[k * L + l for l, k in enumerate(keys)]])[0])
-
-    def keep_mask(self, pts: np.ndarray) -> np.ndarray:
-        """try_add over the rows of pts in (y, x) lexicographic order; the mask
-        of the accepted rows."""
-        order = _yx_order(pts)
-        xy = pts[order]
-        L = len(self.levels)
-        keys = [_cell_keys(xy, r).tolist() for r, _ in self.levels]
-        cols = [[k * L + l for k in col] for l, col in enumerate(keys)]
-        rows = list(zip(*cols)) if cols else [()] * len(xy)
-        keep = np.zeros(len(xy), dtype=bool)
-        keep[order] = np.frombuffer(self._accept(rows), dtype=bool)
-        return keep
+        ids = [k * L + l for l, k in enumerate(keys)]
+        return bool(_cap_loop([ids], self._Ks, self._offsets, self.counts, self.blocked, 1)[0])
 
 
 # Box cells per point below which _keep_capped numbers the cells of every
@@ -214,7 +205,7 @@ _FLAT_CELLS = 32
 
 
 def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.ndarray:
-    """TripledCaps(levels).keep_mask(pts) from fresh state, on flat cell ids.
+    """Fresh TripledCaps(levels).try_add over the rows of pts in (y, x) order, as a mask.
 
     Before each candidate, fresh caps given n points hold at most n - 1 of
     them in any 3Q, so a level with cap >= n never rejects one: it is left
@@ -227,10 +218,11 @@ def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.n
     the 2 cells that a block reaches past a neighbour: id = base_l + (iq -
     i0) * W + (jq - j0), with one width W for all levels, so the 3x3 block
     is the 9 fixed offsets u * W + v and one flat list of counts covers every
-    level.  _cap_loop runs the rule on those ids.  When the boxes hold
-    _FLAT_CELLS cells per point or more (128 points' worth at least), the
-    points go to TripledCaps instead, whose dicts hold only the cells met,
-    so a sparse cloud never allocates its box.  Both give the same mask.
+    level.  When the boxes hold _FLAT_CELLS cells per point or more (128
+    points' worth at least), the cells take TripledCaps's ids instead, as
+    Python ints (key * L passes 2^63 near the key-width limit), with dicts
+    that hold only the cells met, so a sparse cloud never allocates its box.
+    _cap_loop runs the rule on either layout, and both give the same mask.
     """
     n = pts.shape[0]
     _check_key_width(np.abs(pts).max(initial=0.0), min(r for r, _ in levels))
@@ -256,11 +248,15 @@ def _keep_capped(levels: Sequence[tuple[float, float]], pts: np.ndarray) -> np.n
     heights = [h for h, _ in span]
     size = W * sum(heights)
     if size >= _FLAT_CELLS * max(n, 128):
-        return TripledCaps(binding).keep_mask(pts)
-    ids = (cells - lo) @ np.array([W, 1]) + np.cumsum([0] + heights)[:-1] * W
-    offsets = tuple(u * W + v for u in (-1, 0, 1) for v in (-1, 0, 1))
+        L = len(Ks)
+        rows = [[(i * _BIG + j) * L + l for l, (i, j) in enumerate(c)] for c in cells.tolist()]
+        offsets, counts = tuple(o * L for o in _BLOCK), defaultdict(int)
+    else:
+        ids = (cells - lo) @ np.array([W, 1]) + np.cumsum([0] + heights)[:-1] * W
+        rows, counts = ids.tolist(), [0] * size
+        offsets = tuple(u * W + v for u in (-1, 0, 1) for v in (-1, 0, 1))
     keep = np.zeros(n, dtype=bool)
-    kept = _cap_loop(ids.tolist(), Ks, offsets, [0] * size, set(), limit)
+    kept = _cap_loop(rows, Ks, offsets, counts, set(), limit)
     keep[order] = np.frombuffer(kept, dtype=bool)
     return keep
 
@@ -298,6 +294,12 @@ def _tripled_max(
     return best, wit_r, wit_x
 
 
+def _katz_tao_levels(delta: float, s: float, cap: float = 1.0) -> list[tuple[float, float]]:
+    """The Katz-Tao schedule (r, cap * (r/delta)^s), dyadic r in [delta, 1] fine to coarse."""
+    k = round(math.log2(1.0 / delta))
+    return [(2.0 ** (-j), cap * (2.0 ** (-j) / delta) ** s) for j in range(k, -1, -1)]
+
+
 def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrationReport:
     """Least C with #(E in 3Q) <= C (r/delta)^s over dyadic r in [delta, 1].
 
@@ -306,14 +308,8 @@ def katz_tao_constant(E, s: float, delta: float | None = None) -> NonConcentrati
     _tripled_max), so the constant can fall short of the least C: for cells
     (0, 0) and (2, 0) at delta = 1/8 and s = 1 it reports 1.0, not 2.
     """
-    if not (0.0 < s <= 2.0):
-        raise MeasureError(f"exponent {s} outside (0, 2]")
-    pts, d = _as_points(E, delta)
-    if not (0.0 < d <= 1.0):
-        raise MeasureError(f"delta {d} outside (0, 1]")
-    k = round(math.log2(1.0 / d))
-    levels = [(2.0 ** (-j), (2.0 ** (-j) / d) ** s) for j in range(k, -1, -1)]
-    return NonConcentrationReport(s, *_tripled_max(pts, levels))
+    pts, d = _katz_tao_points(E, s, delta)
+    return NonConcentrationReport(s, *_tripled_max(pts, _katz_tao_levels(d, s)))
 
 
 def frostman_constant(E: CellSet, s: float, Delta: float | None = None) -> NonConcentrationReport:

@@ -30,8 +30,8 @@ from .grid import (
 )
 from .geometry import Line, LineFamily, Shading, _greedy_count_below, _greedy_windows, multiplicity
 from .measures import (
-    MeasureError,
-    _as_points,
+    _katz_tao_levels,
+    _katz_tao_points,
     _keep_capped,
     _tripled_max,
     frostman_constant_1d,
@@ -328,6 +328,19 @@ def shading_window_counts(Y: Shading, ladder: ScaleLadder) -> np.ndarray:
     return counts
 
 
+def _branching_buckets(counts: Sequence, ladder: ScaleLadder) -> tuple[list[int], int, np.ndarray]:
+    """Bucket count vectors by their rounded logs: the indices of the largest bucket (least
+    key on ties), the number of buckets, and its mean log profile over log(1/delta)."""
+    logs = [np.log(c) for c in counts]
+    buckets: dict[tuple, list[int]] = {}
+    for idx, ln in enumerate(logs):
+        buckets.setdefault(tuple(int(round(v)) for v in ln), []).append(idx)
+    best_key = min(buckets, key=lambda kk: (-len(buckets[kk]), kk))
+    kept = buckets[best_key]
+    mean_ln = np.mean([logs[i] for i in kept], axis=0)
+    return kept, len(buckets), mean_ln / (ladder.k * math.log(2.0))
+
+
 def common_branching(
     sets: Sequence[CellSet], ladder: ScaleLadder
 ) -> tuple[list[CellSet], BranchingFunction]:
@@ -335,21 +348,10 @@ def common_branching(
     ladder quantum; buckets are rounded log covering-count vectors."""
     if not sets:
         raise StructureError("empty family")
-    keys = []
-    logs = []
-    for E in sets:
-        n = np.array([covering_count(E, ladder.rho(j)) for j in range(ladder.N + 1)], dtype=np.float64)
-        ln = np.log(n)
-        keys.append(tuple(int(round(v)) for v in ln))
-        logs.append(ln)
-    buckets: dict[tuple, list[int]] = {}
-    for idx, key in enumerate(keys):
-        buckets.setdefault(key, []).append(idx)
-    best_key = min(buckets, key=lambda kk: (-len(buckets[kk]), kk))
-    kept = buckets[best_key]
-    mean_ln = np.mean([logs[i] for i in kept], axis=0)
-    beta = BranchingFunction(ladder, mean_ln / (ladder.k * math.log(2.0)))
-    if len(kept) * len(buckets) < len(sets):
+    counts = [[covering_count(E, ladder.rho(j)) for j in range(ladder.N + 1)] for E in sets]
+    kept, n_buckets, mean_log = _branching_buckets(counts, ladder)
+    beta = BranchingFunction(ladder, mean_log)
+    if len(kept) * n_buckets < len(sets):
         raise StructureError("pigeonhole bound violated")  # cannot happen
     return [sets[i] for i in kept], beta
 
@@ -551,22 +553,19 @@ def katz_tao_subsample(E, rho: float, s: float, delta: float | None = None):
         raise StructureError("empty set")
     if not (d < rho < 1.0):
         raise StructureError(f"rho {rho} outside (delta, 1)")
-    polylog = math.log2(1.0 / d) ** 2
     # The pre-check katz_tao_constant(E, s) > polylog, with the same
     # MeasureErrors, visits only the levels that could exceed polylog: a 3Q
     # holds at most #E points, and at most 9 (r/delta)^2 cells of a CellSet.
     # The level of a maximum above polylog is never skipped, so the constant
     # in the message is the same.
-    if not (0.0 < s <= 2.0):
-        raise MeasureError(f"exponent {s} outside (0, 2]")
-    if not is_cellset:
-        _as_points(pts, d)
+    pts, d = _katz_tao_points(pts, s, d)
+    polylog = math.log2(1.0 / d) ** 2
     n = pts.shape[0]
     check = []
-    for j in range(round(math.log2(1.0 / d)), -1, -1):
-        q = 2.0 ** (-j) / d  # r / delta, and denom as in katz_tao_constant
-        if (min(n, 9.0 * q * q) if is_cellset else n) / q**s > polylog:
-            check.append((2.0 ** (-j), q**s))
+    for r, denom in _katz_tao_levels(d, s):
+        q = r / d
+        if (min(n, 9.0 * q * q) if is_cellset else n) / denom > polylog:
+            check.append((r, denom))
     if check:
         constant = _tripled_max(pts, check)[0]
         if constant > polylog:
@@ -580,7 +579,7 @@ def katz_tao_subsample(E, rho: float, s: float, delta: float | None = None):
         r *= 2.0
     keep = _keep_capped(levels, pts)
     if is_cellset:  # pts are the centers of E's cells, in code order
-        return CellSet(E.scale, E.codes[keep])
+        return CellSet._from_sorted_codes(E.scale, E.codes[keep])
     return pts[keep]
 
 
@@ -751,11 +750,10 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
     k = F.scale.k
     ladder = ScaleLadder(m=1, N=k)
     counts = [shading_window_counts(sh, ladder) for _, sh in F.entries]
-    keys = {tuple(int(round(v)) for v in np.log(np.maximum(c, 1))) for c in counts}
-    if len(keys) > 1:
+    _, n_buckets, mean_log = _branching_buckets(counts, ladder)
+    if n_buckets > 1:
         raise StructureError("family lacks a common branching function")
-    mean_ln = np.mean([np.log(np.maximum(c, 1)) for c in counts], axis=0)
-    beta = BranchingFunction(ladder, mean_ln / (k * math.log(2.0)))
+    beta = BranchingFunction(ladder, mean_log)
     profile = beta.lipschitz_profile()
     part = multiscale_decompose(profile, eta)
 
@@ -800,14 +798,16 @@ def shading_multiscale(F: LineFamily, t: float, eta: float) -> ShadingMultiscale
     s_out = min(max(s_out, 0.0), 1.0)
 
     carrier_k = max(2, round(math.log2(1.0 / r)))
-    carrier_scale = Scale(carrier_k)
-    entries = []
-    for line, sh in F.entries:
-        cells = coarsen(sh.cells, carrier_scale.delta)
-        cl = line.requantize(carrier_scale)
-        entries.append((cl, Shading(cl, cells)))
-    fam = LineFamily(carrier_scale, tuple(_dedupe(entries)))
+    carrier = Scale(carrier_k)
+    entries = [_carrier_shading(line, sh, carrier) for line, sh in F.entries]
+    fam = LineFamily(carrier, tuple(_dedupe(entries)))
     return ShadingMultiscaleResult(r, s_out, fam, part, branch)
+
+
+def _carrier_shading(line: Line, sh: Shading, carrier: Scale) -> tuple[Line, Shading]:
+    """A line requantized to the carrier scale, shaded by its coarsened cells."""
+    cl = line.requantize(carrier)
+    return cl, Shading(cl, coarsen(sh.cells, carrier.delta))
 
 
 def _dedupe(entries: list[tuple[Line, Shading]]) -> list[tuple[Line, Shading]]:
@@ -837,8 +837,7 @@ def verify_shading_multiscale(
     for line, sh in F.entries:
         # per-line coarse shading (the returned family may have merged lines
         # whose quantizations coincide at the carrier scale)
-        cl = line.requantize(carrier)
-        csh = Shading(cl, coarsen(sh.cells, carrier.delta))
+        _, csh = _carrier_shading(line, sh, carrier)
         g_fine = gamma(sh, t).value
         g_coarse = gamma(csh, t).value
         if g_coarse > 64.0 * g_fine + 1e-9:

@@ -15,12 +15,11 @@ from tubelab.constructions import (
     ConstructionError,
     _cantor_points_2d,
     _digit_schedule,
-    _katz_tao_levels,
     _scale_of,
     bundle_offsets,
 )
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, GeometryError, tube_cell_count
-from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport, TripledCaps
+from tubelab.measures import GammaReport, MeasureError, NonConcentrationReport
 
 
 # -- random generators -------------------------------------------------------
@@ -434,8 +433,9 @@ def reference_build_base(
         raise ConstructionError(f"shading exponent {s} outside (0, 1]")
     rng = np.random.default_rng(np.random.PCG64(seed))
     duals = _cantor_points_2d(scale.k, t, rng)
-    keep = TripledCaps(_katz_tao_levels(r, t, 8.0)).keep_mask(duals.astype(np.float64) * r)
-    duals = duals[keep]
+    pts = duals.astype(np.float64) * r
+    order = np.lexsort((pts[:, 0], pts[:, 1]))
+    duals = duals[reference_capped_accept(pts, reference_katz_tao_levels(r, t, 8.0), order)]
     entries = []
     for a_q, b_q in duals:
         line = Line(scale, chart, int(a_q), int(b_q))

@@ -34,13 +34,12 @@ from tubelab import constructions
 from tubelab.constructions import (
     ConfigSpec,
     _cantor_points_2d,
-    _katz_tao_levels,
     build_config,
     bundle_offsets,
     measure_remark_bullets,
 )
 from tubelab.geometry import CHART_SHALLOW, CHART_STEEP, _FrameTable
-from tubelab.measures import _keep_capped
+from tubelab.measures import _katz_tao_levels, _keep_capped
 
 from conftest import (
     random_family,

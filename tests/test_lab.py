@@ -19,7 +19,7 @@ from tubelab import (
     verify_corollary,
     verify_theorem,
 )
-from tubelab import lab
+from tubelab import constructions, lab
 from tubelab.constructions import ConfigSpec
 from tubelab.lab import CSV_COLUMNS
 
@@ -300,6 +300,31 @@ def test_cli_rejects_malformed_deltas_option(tmp_path, capsys):
     argv = ["sweep", "--kind", "case1", "--deltas", "2^-5,abc,2^-7", "--out", str(tmp_path)]
     assert run_cli(argv) == 2
     assert "--deltas is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,kind,calls",
+    [
+        ("measure", "random", 0),
+        ("generate", "base", 1),
+        ("generate", "random", 1),
+        ("verify", "random", 1),
+    ],
+)
+def test_cli_computes_the_union_once_or_not_at_all(tmp_path, monkeypatch, command, kind, calls):
+    # measure reports no union mass; generate takes the one that
+    # measure_remark_bullets computes for the base kinds
+    union, seen = lab.union_shadings, []
+
+    def counted(F):
+        seen.append(len(F))
+        return union(F)
+
+    monkeypatch.setattr(lab, "union_shadings", counted)
+    monkeypatch.setattr(constructions, "union_shadings", counted)
+    cfg = _write_cfg(tmp_path, kind=kind, delta=2.0**-6, r=2.0**-4, t=1.5, seed=3)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+    assert len(seen) == calls
 
 
 def test_cli_measure_and_decompose(tmp_path):

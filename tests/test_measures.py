@@ -133,14 +133,18 @@ def test_kt_rejects_cell_indices_past_the_key_width():
 def test_keys_keep_room_for_the_neighbour_cells():
     # at r = 2^-30 the cells (0, 2^31 - 1) and (1, -2^31) have keys that
     # differ by 1, so each looked like the other's neighbour: the two far-apart
-    # points gave constant 2.0 (true value 1.0) and keep_mask rejected one
+    # points gave constant 2.0 (true value 1.0) and the greedy rejected one.
+    # They lie 2^31 cells apart, so _keep_capped takes its dict layout
     pts = np.array([[0.0, 2.0 - 2.0**-30], [2.0**-30, -2.0 + 2.0**-31]])
     assert katz_tao_constant(pts, 1.0, delta=2.0**-29).constant == 1.0
-    assert TripledCaps([(2.0**-29, 1.0)]).keep_mask(pts).tolist() == [True, True]
+    with pytest.MonkeyPatch.context() as mp:
+        kinds = _record_layouts(mp)
+        assert measures._keep_capped([(2.0**-29, 1.0)], pts).tolist() == [True, True]
+    assert kinds == [defaultdict]
     with pytest.raises(MeasureError, match="32-bit key"):
         katz_tao_constant(pts, 1.0, delta=2.0**-30)
     with pytest.raises(MeasureError, match="32-bit key"):
-        TripledCaps([(2.0**-30, 1.0)]).keep_mask(pts)
+        measures._keep_capped([(2.0**-30, 1.0)], pts)
 
 
 def test_tripled_caps_try_add_rejects_cell_indices_past_the_key_width():
@@ -270,65 +274,41 @@ def test_frostman_1d_matches_reference(offsets, base, s):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     k=st.integers(3, 7),
-    cap=st.floats(1.0, 16.0),
+    cap=st.one_of(st.floats(1.0, 16.0), st.integers(0, 12).map(float), st.floats(0.0, 1.0)),
     s=st.floats(0.2, 2.0),
     n=st.integers(1, 300),
     spread=st.integers(1, 6),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_tripled_caps_matches_reference_in_draw_order(k, cap, s, n, spread, seed):
-    # random_config's order: each point is tried as it is drawn, with repeats
-    rng = np.random.default_rng(seed)
-    d = 2.0**-k
-    half = max(1, (1 << k) >> spread)
-    pts = rng.integers(-half, half + 1, size=(n, 2)).astype(np.float64) * d
-    levels = reference_katz_tao_levels(d, s, cap)
-    caps = TripledCaps(levels)
-    got = np.array([caps.try_add(x, y) for x, y in pts.tolist()])
-    assert np.array_equal(got, reference_capped_accept(pts, levels, np.arange(n)))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    k=st.integers(2, 6),
-    caps=st.lists(
-        st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0)), min_size=1, max_size=4
-    ),
-    n_add=st.integers(0, 40),
-    n_mask=st.integers(0, 200),
     on_grid=st.booleans(),
     wide=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_tripled_caps_try_add_then_keep_mask(k, caps, n_add, n_mask, on_grid, wide, seed):
-    # caps below 1, integer caps (count + 1 > cap on the boundary) and
-    # fractional ones; grid points lie on cell edges at every level, and
-    # both kinds reach negative coordinates.  Wide inputs move some points
-    # 2^20 finest cells away on each axis, either way, so the state that
-    # try_add leaves for keep_mask holds keys far apart
+def test_tripled_caps_matches_reference_in_draw_order(k, cap, s, n, spread, on_grid, wide, seed):
+    # random_config's order: each point is tried as it is drawn, with repeats
+    # on the grid (whose points lie on cell edges at every level).  Caps
+    # below 1 close the greedy, and integer caps put count + 1 > cap on the
+    # boundary.  Wide inputs move some points 2^20 finest cells away on each
+    # axis, either way, so the state try_add keeps holds keys far apart
     rng = np.random.default_rng(seed)
     d = 2.0**-k
-    levels = [(d * 2**l, cap) for l, cap in enumerate(caps)]
-    n = n_add + n_mask
+    half = max(1, (1 << k) >> spread)
     if on_grid:
-        pts = rng.integers(-(1 << k), (1 << k) + 1, size=(n, 2)).astype(np.float64) * d
+        pts = rng.integers(-half, half + 1, size=(n, 2)).astype(np.float64) * d
     else:
-        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        pts = rng.uniform(-half, half, size=(n, 2)) * d
     if wide:
         pts += rng.integers(-1, 2, size=(n, 2)) * (2.0**20 * d)
-    tail = pts[n_add:]
-    order = np.concatenate([np.arange(n_add), n_add + np.lexsort((tail[:, 0], tail[:, 1]))])
-    expected = reference_capped_accept(pts, levels, order)
-    tc = TripledCaps(levels)
-    got = [tc.try_add(x, y) for x, y in pts[:n_add].tolist()]
-    assert np.array_equal(np.concatenate([got, tc.keep_mask(tail)]), expected)
-    if min(caps) < 1.0:
+    levels = reference_katz_tao_levels(d, s, cap)
+    caps = TripledCaps(levels)
+    got = np.array([caps.try_add(x, y) for x, y in pts.tolist()])
+    expected = reference_capped_accept(pts, levels, np.arange(n))
+    assert np.array_equal(got, expected)
+    if cap < 1.0:
         assert not expected.any()
 
 
 def _record_layouts(mp: pytest.MonkeyPatch) -> list[type]:
     """Patch measures._cap_loop to record the type of counts of each run:
-    list for _keep_capped's flat box, defaultdict for TripledCaps's dicts."""
+    list for _keep_capped's flat box, defaultdict for its dicts of TripledCaps ids."""
     kinds = []
     loop = measures._cap_loop
 
@@ -418,14 +398,29 @@ def test_keep_capped_never_allocates_the_box_of_a_sparse_cloud():
 
 def test_keep_capped_refuses_keys_past_the_width_of_a_dropped_level():
     # both levels have cap >= n and are left out, but the finest one's keys
-    # would pass 2^31 - 1, as TripledCaps.keep_mask refuses them
+    # would pass 2^31 - 1, as they do where the levels bind (cap 1 < n) and
+    # the points, 2^31 cells apart, would go to the dict layout
     pts = np.array([[2.0, 0.0], [0.0, 0.5]])
-    levels = [(2.0**-30, 4.0), (1.0, 4.0)]
-    with pytest.raises(MeasureError, match="32-bit key"):
-        TripledCaps(levels).keep_mask(pts)
-    with pytest.raises(MeasureError, match="32-bit key"):
-        measures._keep_capped(levels, pts)
+    for cap in (1.0, 4.0):
+        with pytest.raises(MeasureError, match="32-bit key"):
+            measures._keep_capped([(2.0**-30, cap), (1.0, cap)], pts)
     assert measures._keep_capped([(2.0**-29, 4.0), (1.0, 4.0)], pts).all()
+
+
+def test_keep_capped_packs_dict_ids_past_int64():
+    # two binding levels (L = 2) with cells near +-2^30 at r = 2^-30: the
+    # keys of x = -1 and x = 1 differ by 2^63, so key * L + l of the two
+    # wraps to the same id in int64 and the second point would be rejected
+    r = 2.0**-30
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0 - r / 2, 2.0 * r], [2.0 - 2 * r, -2.0 + 2 * r]])
+    levels = [(r, 1.5), (2 * r, 1.5)]
+    expected = reference_capped_accept(pts, levels, np.lexsort((pts[:, 0], pts[:, 1])))
+    assert expected.tolist() == [True, True, False, True]
+    with pytest.MonkeyPatch.context() as mp:
+        kinds = _record_layouts(mp)
+        got = measures._keep_capped(levels, pts)
+    assert kinds == [defaultdict]
+    assert np.array_equal(got, expected)
 
 
 def test_frostman_1d_uniform_vs_cluster():

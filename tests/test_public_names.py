@@ -93,3 +93,70 @@ def test_constructions_builds_families_through_the_array_constructor():
 def test_only_geometry_runs_the_batched_tube_check():
     users = [p.name for p in sorted(SRC.glob("*.py")) if "_check_in_tube" in _names(p)]
     assert users == ["geometry.py"], users
+
+
+def _functions(path: Path) -> list[ast.FunctionDef]:
+    return [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef)]
+
+
+def test_only_measures_raises_measure_error():
+    # the other modules call measures for its input checks, not restate them
+    raisers = sorted(
+        {
+            p.name
+            for p in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and "MeasureError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+        }
+    )
+    assert raisers == ["measures.py"], raisers
+
+
+def _walks_dyadic_scales_fine_to_coarse(fn: ast.FunctionDef) -> bool:
+    """Whether fn counts j down to 0 (range(_, -1, -1)) and takes 2.0 ** -(...)."""
+    nodes = list(ast.walk(fn))
+    counts_down = any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "range"
+        and [ast.unparse(a) for a in n.args[1:]] == ["-1", "-1"]
+        for n in nodes
+    )
+    dyadic = any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Pow)
+        and ast.unparse(n.left) == "2.0"
+        and isinstance(n.right, ast.UnaryOp)
+        and isinstance(n.right.op, ast.USub)
+        for n in nodes
+    )
+    return counts_down and dyadic
+
+
+def test_only_measures_defines_a_katz_tao_level_schedule():
+    # structure and constructions read measures._katz_tao_levels
+    users = sorted(
+        {
+            p.name
+            for p in SRC.glob("*.py")
+            for fn in _functions(p)
+            if _walks_dyadic_scales_fine_to_coarse(fn)
+        }
+    )
+    assert users == ["measures.py"], users
+    schedule = [fn for fn in _functions(SRC / "measures.py") if fn.name == "_katz_tao_levels"]
+    assert len(schedule) == 1 and _walks_dyadic_scales_fine_to_coarse(schedule[0])
+
+
+def test_tripled_caps_adds_one_point_at_a_time():
+    # the batch greedy is measures._keep_capped alone
+    (cls,) = [
+        n
+        for n in ast.walk(ast.parse((SRC / "measures.py").read_text()))
+        if isinstance(n, ast.ClassDef) and n.name == "TripledCaps"
+    ]
+    methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    assert "keep_mask" not in methods
+    assert methods == {"__init__", "try_add"}, methods
