@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -210,26 +209,6 @@ def _project(fr: _FrameTable, codes: np.ndarray, d: float) -> tuple[np.ndarray, 
     return _arc_and_offset(np.where(steep, y, x), np.where(steep, x, y), a, b, u0, nrm)
 
 
-@contextmanager
-def _lend_projections(shadings: Sequence["Shading"], arc: np.ndarray, off: np.ndarray, sizes):
-    """For the duration of the block, Shading.arc_and_offset of every
-    shading returns its read-only run of arc and off, which hold runs of
-    sizes[l] cells for the shadings in order (a chunk of
-    LineFamily._projected_chunks).  The runs are taken back on exit, also
-    when the block raises, so no shading keeps a projection."""
-    arc.flags.writeable = False
-    off.flags.writeable = False
-    ends = np.cumsum(sizes).tolist()
-    try:
-        for sh, lo, hi in zip(shadings, [0] + ends, ends):
-            object.__setattr__(sh, "_proj", (arc[lo:hi], off[lo:hi]))
-        yield
-    finally:
-        for sh in shadings:
-            if sh._proj is not None:
-                object.__delattr__(sh, "_proj")
-
-
 def _tube_radii(a_q, m: int, n: int, w: float):
     """R of the width-w tube of each slope a_q/m, exact for any float w: an
     int for a scalar a_q, else an array with one isqrt per distinct slope.
@@ -358,9 +337,6 @@ class Shading:
 
     line: Line
     cells: CellSet
-    # (arc, offset) lent by _lend_projections; not a field, so eq, hash and
-    # repr ignore it
-    _proj = None
 
     def __post_init__(self) -> None:
         if self.line.scale != self.cells.scale:
@@ -389,10 +365,7 @@ class Shading:
         return np.sort(arc)
 
     def arc_and_offset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line.project of the cell centers; inside _lend_projections, the
-        shading's read-only run of its chunk's projection."""
-        if self._proj is not None:
-            return self._proj
+        """Line.project of the cell centers."""
         i, j = self.cells.ij()
         d = self.cells.scale.delta
         return self.line.project((i + 0.5) * d, (j + 0.5) * d)

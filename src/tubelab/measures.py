@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import CellSet, _member, _sorted_counts
-from .geometry import LineFamily, Shading, _lend_projections, _tube_counts
+from .geometry import LineFamily, Shading, _tube_counts
 
 __all__ = [
     "MeasureError",
@@ -367,6 +367,12 @@ def two_ends_constant(Y: Shading, eps1: float, eps2: float) -> float:
     return float(two_ends_constants(LineFamily(Y.cells.scale, ((Y.line, Y),)), eps1, eps2)[0])
 
 
+def _lambdas(F: LineFamily) -> np.ndarray:
+    """max(Line.length_in_square(), delta) of every line of F, bit for bit."""
+    fr = F._frames
+    return np.maximum(np.where(fr.u1 > fr.u0, fr.u1 - fr.u0, 0.0) * fr.nrm, F.scale.delta)
+
+
 def two_ends_constants(F: LineFamily, eps1: float, eps2: float) -> np.ndarray:
     """two_ends_constant of every line of F, in entry order, on integer grid
     indices.
@@ -395,11 +401,10 @@ def two_ends_constants(F: LineFamily, eps1: float, eps2: float) -> np.ndarray:
     if len(F) == 0:
         raise MeasureError("two_ends_constants of an empty family")
     d = F.scale.delta
-    fr = F._frames
     W = d**eps1
-    sizes = fr.sizes
-    # lam = max(length_in_square, d); a window starts at most at lam - W
-    lam = np.maximum(np.where(fr.u1 > fr.u0, fr.u1 - fr.u0, 0.0) * fr.nrm, d)
+    sizes = F._frames.sizes
+    # a window starts at most at lam - W
+    lam = _lambdas(F)
     last = np.where(lam > W, lam - W, np.inf)
     span = round(16.0 / d)  # 2^(k+4)
     best = np.empty(len(F), dtype=np.int64)
@@ -428,9 +433,9 @@ def two_ends_constants(F: LineFamily, eps1: float, eps2: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)  # one entry per k, and Scale keeps k <= 32
 def _scale_rows(k: int) -> np.ndarray:
-    """gamma's rows at delta = 2^-k: r^2 of r = 2^(i-k) for row i as a
-    column.  Read-only, since every call shares it."""
-    r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))[:, None]
+    """gamma's rows at delta = 2^-k: r^2 of r = 2^(i-k) for row i.  Read-only,
+    since every call shares it."""
+    r2 = np.ldexp(1.0, -2 * np.arange(k, -1, -1))
     r2.flags.writeable = False
     return r2
 
@@ -445,45 +450,86 @@ def _row_factors(k: int, t: float) -> np.ndarray:
     return factors
 
 
+def _gamma_runs(k: int, arc: np.ndarray, off: np.ndarray, sizes, lam) -> list[tuple]:
+    """gamma's grid steps at delta = 2^-k for a run of lines: arc and off hold
+    one run of sizes[l] cell projections per line l, and lam[l] is
+    max(Line.length_in_square(), delta).  Returns (plus, minus, M, lam[l])
+    per line.
+
+    A line's table has a row for each r = 2^(i-k), i = 0..k, and M+2 columns,
+    M = floor(lambda/delta).  A cell within reach of the line covers the
+    arclength interval [left, right] = [arc - w, arc + w], w = sqrt(r^2 -
+    off^2).  delta = 2^-k, so left/delta and right/delta are exact, and the
+    cell covers the grid point x = m*delta, 0 <= m <= M, exactly when lo =
+    ceil(left/delta) <= m <= hi = floor(right/delta).  Column M+1 stands for
+    x = lambda when lambda lies within 1e-12 below the next grid point (a
+    slack at the end of the line); its cover is tested in floats, and it
+    adjoins the cell's columns since left <= lambda < (M+1) delta.  plus and
+    minus hold the flat table indices of each (cell, row) entry's +1 at lo
+    and -1 after hi (the same index for an entry that covers no column; the
+    last row's -1 after column M+1 is index (k+1)(M+2)).  Entries go cell by
+    cell, so each line's are contiguous, and they are read-only, since the
+    runs of a call share them.
+    """
+    d = 2.0**-k
+    lam = np.asarray(lam, dtype=np.float64)
+    M = np.floor(lam / d)
+    end = np.where(np.floor((lam + 1e-12) / d) > M, lam, np.inf)
+    # (cell, row) tables, worked in place: one line's cells are consecutive rows
+    Mc, end = np.repeat(M, sizes)[:, None], np.repeat(end, sizes)[:, None]
+    lo = _scale_rows(k) - (off * off)[:, None]
+    mask = lo > 0.0
+    np.sqrt(lo, out=lo, where=mask)  # w; the rest is dropped below
+    hi = arc[:, None] + lo  # right = arc + w
+    np.subtract(arc[:, None], lo, out=lo)  # left = arc - w
+    at_end = (lo <= end) & (end <= hi)
+    np.ceil(np.divide(lo, d, out=lo), out=lo)
+    np.clip(lo, 0.0, Mc + 1.0, out=lo)
+    np.floor(np.divide(hi, d, out=hi), out=hi)
+    np.minimum(hi, Mc, out=hi)
+    np.copyto(hi, Mc + 1.0, where=at_end)
+    hi += 1.0
+    np.maximum(hi, lo, out=hi)  # no column covered: the -1 meets the +1
+    at = np.arange(k + 1.0) * (Mc + 2.0)
+    lo += at
+    hi += at
+    del at  # each table goes once used, so at most four are held
+    plus = lo[mask].astype(np.int64)
+    del lo
+    minus = hi[mask].astype(np.int64)
+    plus.flags.writeable = minus.flags.writeable = False
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))[np.cumsum(sizes) - 1].tolist()
+    return [
+        (plus[b0:b1], minus[b0:b1], m, x)
+        for b0, b1, m, x in zip([0, *ends], ends, M.astype(np.int64).tolist(), lam.tolist())
+    ]
+
+
 def gamma(Y: Shading, t: float) -> GammaReport:
     """sup over dyadic r in [delta, 1] and delta-spaced x on the line of
     (delta/r)^t * #(cells of Y with center in B(x, r)).
 
-    All k+1 scales are handled in one integer table.  Row i is r = 2^(i-k);
-    a cell within reach of x covers the arclength interval [left, right] =
-    [arc - w, arc + w].  delta = 2^-k, so left/delta and right/delta are
-    exact, and the cell covers the grid point x = m*delta, 0 <= m <= M =
-    floor(lambda/delta), exactly when lo = ceil(left/delta) <= m <= hi =
-    floor(right/delta).  A +1 at lo and a -1 at hi+1, summed along the flat
-    table (each row's steps sum to 0), give the cover count of every grid
-    point.  When lambda lies within 1e-12 below the next grid point, that
-    point counts as x = lambda (a 1e-12 slack at the end of the line), the
-    row's last column, whose cover is tested in floats.  Each row's value is
-    its factor (delta/r)^t times its largest count; one argmax over the rows,
-    fine to coarse, and one along the chosen row keep the first maximum, so
-    ties keep the finest scale and then the least x.
+    All k+1 scales are handled in one integer table, whose steps come from
+    _gamma_runs: the run gamma_sup lends Y, or else one built from
+    Y.arc_and_offset().  Two bincounts and one cumsum along the flat table
+    give the cover of every column, since each entry's steps bound a range of
+    its own row.  Each row's value is its factor (delta/r)^t times its
+    largest count; one argmax over the rows, fine to coarse, and one along the
+    chosen row keep the first maximum, so ties keep the finest scale and then
+    the least x.
     """
     if not (0.0 <= t <= 1.0):
         raise MeasureError(f"gamma exponent {t} outside [0, 1]")
     d = Y.cells.scale.delta
     k = Y.cells.scale.k
-    arc, off = Y.arc_and_offset()
-    lam = max(Y.line.length_in_square(), d)
-    M = math.floor(lam / d)
-    reach2 = _scale_rows(k) - (off * off)[None, :]
-    mask = reach2 > 0.0
-    rows, cols = mask.nonzero()
-    w = np.sqrt(reach2[mask])
-    left, right = arc[cols] - w, arc[cols] + w
-    lo = np.maximum(np.ceil(left / d), 0.0).astype(np.int64)
-    hi = np.minimum(np.floor(right / d), M).astype(np.int64)
-    ok = lo <= hi
-    at = rows[ok] * (M + 2)
+    run = vars(Y).get("_gamma_run")
+    if run is None:
+        arc, off = Y.arc_and_offset()
+        (run,) = _gamma_runs(k, arc, off, [arc.size], [max(Y.line.length_in_square(), d)])
+    plus, minus, M, lam = run
     size = (k + 1) * (M + 2)
-    steps = np.bincount(at + lo[ok], minlength=size) - np.bincount(at + hi[ok] + 1, minlength=size)
-    cover = steps.cumsum().reshape(k + 1, M + 2)  # every row's steps sum to 0
-    if math.floor((lam + 1e-12) / d) > M:
-        cover[:, M + 1] = np.bincount(rows[(left <= lam) & (lam <= right)], minlength=k + 1)
+    steps = np.bincount(plus, minlength=size + 1) - np.bincount(minus, minlength=size + 1)
+    cover = steps[:size].cumsum().reshape(k + 1, M + 2)
     counts = cover.max(axis=1)
     values = _row_factors(k, t) * counts
     i = int(values.argmax())
@@ -513,22 +559,29 @@ def gamma_sup(F: LineFamily, t: float) -> GammaReport:
 
     gamma runs once per line, on F's own shadings and in their order, since
     the traced benchmark counts its calls and cell scales on measures.gamma
-    (tests/test_benchmark_contract.py pins this).  Only the projection of
-    the cells moves out of those calls: each chunk of
-    LineFamily._projected_chunks is lent to its shadings while gamma runs on
-    them (geometry._lend_projections), so nothing stays on the shadings.  The
-    family-wide gamma kernel of ROADMAP open item 1 replaces this.
+    (tests/test_benchmark_contract.py pins this).  Only the per-line
+    reduction stays in those calls: the grid steps of each chunk of
+    LineFamily._projected_chunks come from one _gamma_runs call, and each
+    shading is lent its run while gamma runs on it, so nothing stays on the
+    shadings.  The family-wide gamma kernel of ROADMAP open item 1 replaces
+    this.
     """
     if len(F) == 0:
         raise MeasureError("gamma_sup of an empty family")
     shadings = F.shadings
     sizes = F._frames.sizes
+    lam = _lambdas(F)
     best: GammaReport | None = None
     for lo, hi, arc, off in F._projected_chunks():
-        with _lend_projections(shadings[lo:hi], arc, off, sizes[lo:hi]):
-            for sh in shadings[lo:hi]:
+        runs = _gamma_runs(F.scale.k, arc, off, sizes[lo:hi], lam[lo:hi])
+        for sh, run in zip(shadings[lo:hi], runs):
+            object.__setattr__(sh, "_gamma_run", run)
+            try:
                 rep = gamma(sh, t)
-                if best is None or rep.value > best.value:
-                    best = rep
+            finally:
+                object.__delattr__(sh, "_gamma_run")
+            if best is None or rep.value > best.value:
+                best = rep
+        del runs
     assert best is not None
     return best

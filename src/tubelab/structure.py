@@ -619,7 +619,8 @@ def rich_point_refine(
     )
     trace.add(f"pass 2: multiplicity class 2^{best} of 1", 1.0, 1.0)
     rich = classes == best
-    e_mu = CellSet(F.scale, codes[rich])
+    # run heads of sorted, checked shading codes: sorted, distinct, in bounds
+    e_mu = CellSet._from_sorted_codes(F.scale, codes[rich])
     # Every shading restricted to E_mu at once: each code's class is spread
     # back through the sort, then split per line.  A subset of a checked
     # shading on the same line stays sorted and in the tube.

@@ -987,7 +987,18 @@ def _charted_family(seed: int, k: int, n_lines: int, chart: str | None) -> LineF
 
 
 def _lent(F: LineFamily) -> list[int]:
-    return [i for i, (_, sh) in enumerate(F.entries) if "_proj" in vars(sh)]
+    return [i for i, (_, sh) in enumerate(F.entries) if "_gamma_run" in vars(sh)]
+
+
+def _lent_reports(F: LineFamily, t: float, monkeypatch) -> list:
+    # gamma_sup's per-line gamma reports, in call order
+    gamma = measures.gamma
+    reports = []
+    monkeypatch.setattr(measures, "gamma", lambda Y, t: reports.append(gamma(Y, t)) or reports[-1])
+    best = gamma_sup(F, t)
+    monkeypatch.setattr(measures, "gamma", gamma)
+    assert best == _fresh_gamma_max(F, t)
+    return reports
 
 
 @pytest.mark.parametrize("seed", [405, 406])
@@ -1042,7 +1053,7 @@ def test_gamma_sup_takes_back_the_projections_when_gamma_raises(monkeypatch):
     def failing(Y, t):
         calls.append(Y)
         if len(calls) == len(F) - 2:
-            assert "_proj" in vars(Y)
+            assert "_gamma_run" in vars(Y)
             raise MeasureError("stop")
         return gamma(Y, t)
 
@@ -1052,28 +1063,85 @@ def test_gamma_sup_takes_back_the_projections_when_gamma_raises(monkeypatch):
     assert _lent(F) == []
 
 
-def test_gamma_sup_lends_read_only_projections_of_the_same_bits(monkeypatch):
+def test_gamma_sup_lends_read_only_runs_of_the_same_bits(monkeypatch):
+    # each lent run against the run a lone gamma builds from a new shading
     F = _charted_family(4, 7, 60, None)
-    gamma = measures.gamma
+    assert sum(sh.cells.n_cells for sh in F.shadings) > _CHUNK_CELLS
+    gamma, runs = measures.gamma, measures._gamma_runs
+    built = []
+    monkeypatch.setattr(measures, "_gamma_runs", lambda *a: built.append(runs(*a)) or built[-1])
     seen = []
 
     def checking(Y, t):
-        arc, off = Y.arc_and_offset()
-        for lent, own in zip((arc, off), Shading(Y.line, Y.cells).arc_and_offset()):
-            assert not lent.flags.writeable
+        plus, minus, M, lam = lent = vars(Y)["_gamma_run"]
+        for a in (plus, minus):
+            assert not a.flags.writeable
             with pytest.raises(ValueError):
-                lent[0] = 0.0
-            assert lent.tobytes() == own.tobytes()
-        # arc_positions sorts a copy, so the lent arc keeps its pairing
-        assert np.array_equal(Y.arc_positions(), np.sort(arc))
-        assert Y.arc_and_offset()[0].tobytes() == arc.tobytes()
+                a[0] = 0
+        lone = gamma(Shading(Y.line, Y.cells), t)
+        (own,) = built.pop()
+        assert [a.tobytes() for a in own[:2]] == [plus.tobytes(), minus.tobytes()]
+        assert [a.dtype for a in own[:2]] == [plus.dtype, minus.dtype] == [np.int64] * 2
+        assert own[2:] == (M, lam) and type(M) is int and type(lam) is float
+        rep = gamma(Y, t)
+        assert vars(Y)["_gamma_run"] is lent and rep == lone
         seen.append(Y)
-        return gamma(Y, t)
+        return rep
 
     monkeypatch.setattr(measures, "gamma", checking)
     gamma_sup(F, 0.5)
     assert [id(Y) for Y in seen] == [id(sh) for sh in F.shadings]
     assert _lent(F) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 8),
+    chart=st.sampled_from(["s", "t", None]),
+    mode=_MODES,
+    corner=st.booleans(),
+    n_lines=st.integers(1, 24),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma_sup_matches_fresh_shadings_with_a_chunk_per_line(k, chart, mode, corner, n_lines, t, seed):
+    # every line in a chunk of its own gives every line the same steps, and
+    # the same report, as the chunks of the default size
+    F = _shading_family(seed, k, chart, mode, corner, n_lines)
+    with pytest.MonkeyPatch.context() as mp:
+        want = _lent_reports(F, t, mp)
+        mp.setattr(geometry, "_CHUNK_CELLS", 1)
+        assert _lent_reports(F, t, mp) == want
+    assert want == [gamma(Shading(ln, sh.cells), t) for ln, sh in F.entries]
+
+
+@pytest.mark.parametrize("chunk", [1, 8, _CHUNK_CELLS])
+def test_gamma_sup_matches_fresh_shadings_with_an_end_slack_line(monkeypatch, chunk):
+    # No drawn line has lambda within the 1e-12 end slack, so one line's
+    # lambda is set there, for gamma_sup and for a lone gamma alike.  The
+    # line y = 1/2 keeps only its two last cells, and lambda = 1 - delta -
+    # 1e-13 puts x = lambda, column M+1, within reach of them at r = delta,
+    # where they reach no grid point: that x is its witness, and its value
+    # beats every other line's single cell.
+    sc = Scale(6)
+    d, n = sc.delta, sc.n
+    slack = Shading(Line(sc, "s", 0, n // 2), CellSet.from_cells(sc, [(n - 1, n // 2 - 1), (n - 1, n // 2)]))
+    F = _shading_family(8, 6, None, "single", True, 30)
+    at = len(F) // 2
+    F = LineFamily(sc, (*F.entries[:at], (slack.line, slack), *F.entries[at:]))
+    lam = 1.0 - d - 1e-13
+    length, lambdas = Line.length_in_square, measures._lambdas
+    monkeypatch.setattr(Line, "length_in_square", lambda ln: lam if ln == slack.line else length(ln))
+    monkeypatch.setattr(measures, "_lambdas", lambda F: np.array([max(ln.length_in_square(), d) for ln in F.lines]))
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", chunk)
+    for t in (0.0, 0.5, 1.0):
+        best = gamma_sup(F, t)
+        assert (best.value, best.witness_r, best.witness_arc) == (2.0, d, lam)
+        assert best == reference_gamma(slack, t)
+        reports = _lent_reports(F, t, monkeypatch)
+        assert reports == [gamma(Shading(ln, sh.cells), t) for ln, sh in F.entries]
+    monkeypatch.setattr(measures, "_lambdas", lambdas)
+    assert gamma_sup(F, 0.5).witness_arc != lam
 
 
 def test_gamma_dyadic_restriction_vs_dense_sampling():

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubelab import (
@@ -767,6 +767,29 @@ def test_rich_point_refine_matches_reference(k, n_random, n_pencil, reach, n_str
     assert got == _refinement(fam, reference_rich_point_refine)
     if not isinstance(got, str):
         check_rich_point_postconditions(fam)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(4, 7),
+    n_random=st.integers(0, 12),
+    n_pencil=st.integers(0, 8),
+    reach=st.integers(0, 4),
+    n_strays=st.integers(0, 3),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_rich_point_refine_rich_set_equals_the_checked_construction(
+    k, n_random, n_pencil, reach, n_strays, density, seed
+):
+    # E_mu skips CellSet's checks; the checked constructor accepts its codes
+    # (sorted, distinct, in bounds) and gives an equal set of the same dtype
+    fam = _pencil_family(np.random.default_rng(seed), k, n_random, n_pencil, reach, n_strays, density)
+    assume(len(fam) > 0)
+    _, e_mu, _, _ = rich_point_refine(fam)
+    checked = CellSet(fam.scale, e_mu.codes)
+    assert e_mu == checked and hash(e_mu) == hash(checked)
+    assert e_mu.codes.dtype == checked.codes.dtype == np.uint64 and e_mu.codes.ndim == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
